@@ -175,7 +175,9 @@ pub struct Network {
     // state — the same hardening applied to `dear-someip` and the
     // transactor platform tables.
     links: BTreeMap<(NodeId, NodeId), LinkState>,
-    receivers: BTreeMap<NodeId, Receiver>,
+    /// Frame receivers indexed by `NodeId.0`: node ids are small and
+    /// dense, and the table is only ever indexed, never iterated.
+    receivers: Vec<Option<Receiver>>,
     /// Nodes whose whole ECU is down (see [`NetworkHandle::set_node_up`]):
     /// frames *from* them are swallowed like a downed link's. Frames *to*
     /// them still deliver — a crashed federate's durable log keeps
@@ -194,7 +196,7 @@ impl fmt::Debug for Network {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Network")
             .field("links", &self.links.len())
-            .field("receivers", &self.receivers.len())
+            .field("receivers", &self.receivers.iter().flatten().count())
             .field("stats", &self.stats)
             .finish()
     }
@@ -210,7 +212,7 @@ impl Network {
         Network {
             default_link,
             links: BTreeMap::new(),
-            receivers: BTreeMap::new(),
+            receivers: Vec::new(),
             downed_nodes: BTreeSet::new(),
             node_observers: Vec::new(),
             rng,
@@ -281,15 +283,19 @@ impl NetworkHandle {
 
     /// Registers the frame receiver for a node, replacing any previous one.
     pub fn set_receiver(&self, node: NodeId, receiver: impl Fn(&mut Simulation, Frame) + 'static) {
-        self.0
-            .borrow_mut()
-            .receivers
-            .insert(node, Rc::new(receiver));
+        let receivers = &mut self.0.borrow_mut().receivers;
+        let slot = usize::from(node.0);
+        if receivers.len() <= slot {
+            receivers.resize_with(slot + 1, || None);
+        }
+        receivers[slot] = Some(Rc::new(receiver));
     }
 
     /// Removes the receiver for a node (frames to it become unroutable).
     pub fn clear_receiver(&self, node: NodeId) {
-        self.0.borrow_mut().receivers.remove(&node);
+        if let Some(slot) = self.0.borrow_mut().receivers.get_mut(usize::from(node.0)) {
+            *slot = None;
+        }
     }
 
     /// Submits a frame for transmission at the current simulation time.
@@ -298,63 +304,73 @@ impl NetworkHandle {
     /// guarantee that this frame is delivered strictly after any frame
     /// previously sent on the same link.
     pub fn send(&self, sim: &mut Simulation, frame: Frame) {
-        let deliver_at = {
+        let at = {
             let mut net = self.0.borrow_mut();
-            net.stats.sent += 1;
-            // A downed link or node swallows the frame before any latency
+            // Split the borrow so the link can be held beside the RNG.
+            let Network {
+                default_link,
+                links,
+                downed_nodes,
+                rng,
+                stats,
+                ..
+            } = &mut *net;
+            stats.sent += 1;
+            // A downed node or link swallows the frame before any latency
             // or loss sampling, so killing either perturbs no other RNG
             // draws. Only the *sender* being down matters here: frames to
             // a downed node still travel (its durable inbox is alive).
-            if net.downed_nodes.contains(&frame.src) || !net.link_state(frame.src, frame.dst).up {
-                net.stats.faulted += 1;
+            if downed_nodes.contains(&frame.src) {
+                stats.faulted += 1;
                 return;
             }
-            // Sample everything we need while holding the borrow. Fault
-            // overrides substitute for the configured models; the base
-            // configuration (and the assumed bound `L`) stays intact.
-            let latency = {
-                let state = net.link_state(frame.src, frame.dst);
-                let cfg = state
-                    .latency_override
-                    .clone()
-                    .unwrap_or_else(|| state.config.latency.clone());
-                cfg.sample(&mut net.rng)
-            };
-            let drop_p = {
-                let state = net.link_state(frame.src, frame.dst);
-                state.drop_override.unwrap_or(state.config.drop_probability)
-            };
-            if drop_p > 0.0 && net.rng.chance(drop_p) {
-                net.stats.dropped += 1;
-                None
-            } else {
-                let now = sim.now();
-                let state = net.link_state(frame.src, frame.dst);
-                let mut at = now + latency;
-                if state.config.fifo {
-                    at = at.max(state.next_free);
-                    state.next_free = at + Duration::from_nanos(1);
-                }
-                Some(at)
+            let state = links
+                .entry((frame.src, frame.dst))
+                .or_insert_with(|| LinkState::new(default_link.clone()));
+            if !state.up {
+                stats.faulted += 1;
+                return;
             }
+            // Fault overrides substitute for the configured models; the
+            // base configuration (and the assumed bound `L`) stays intact.
+            let latency = state
+                .latency_override
+                .as_ref()
+                .unwrap_or(&state.config.latency)
+                .sample(rng);
+            let drop_p = state.drop_override.unwrap_or(state.config.drop_probability);
+            if drop_p > 0.0 && rng.chance(drop_p) {
+                stats.dropped += 1;
+                return;
+            }
+            let mut at = sim.now() + latency;
+            if state.config.fifo {
+                at = at.max(state.next_free);
+                state.next_free = at + Duration::from_nanos(1);
+            }
+            at
         };
-        let Some(at) = deliver_at else { return };
-        let handle = self.clone();
-        sim.schedule_at(at, move |sim| handle.deliver(sim, frame));
+        sim.schedule_delivery(at, self.clone(), frame);
     }
 
-    fn deliver(&self, sim: &mut Simulation, frame: Frame) {
+    pub(crate) fn deliver(&self, sim: &mut Simulation, frame: Frame) {
         // Clone the receiver out so the network is not borrowed while the
         // receiver runs (receivers commonly send further frames).
-        let receiver = self.0.borrow().receivers.get(&frame.dst).cloned();
-        match receiver {
-            Some(r) => {
-                self.0.borrow_mut().stats.delivered += 1;
-                r(sim, frame);
+        let receiver = {
+            let mut net = self.0.borrow_mut();
+            let receiver = net
+                .receivers
+                .get(usize::from(frame.dst.0))
+                .and_then(Option::clone);
+            if receiver.is_some() {
+                net.stats.delivered += 1;
+            } else {
+                net.stats.unroutable += 1;
             }
-            None => {
-                self.0.borrow_mut().stats.unroutable += 1;
-            }
+            receiver
+        };
+        if let Some(receiver) = receiver {
+            receiver(sim, frame);
         }
     }
 
@@ -727,6 +743,129 @@ mod tests {
         net.send(&mut sim, frame(1, 2, 2));
         sim.run_to_completion();
         assert_eq!(hits.borrow()[1], (t1 + Duration::from_millis(1), 2));
+    }
+
+    type Deliveries = Vec<(Instant, u16, u16, u8)>;
+
+    const FAULT_ROUND: u8 = 15;
+
+    /// Every delivery of a fixed send pattern over four nodes on a
+    /// jittery, reordering, lossy network, as `(time, src, dst, payload)`
+    /// in delivery order. `fault` runs before the sends of round
+    /// `FAULT_ROUND`; a send for which `submit(round, src, dst)` is false
+    /// is never made.
+    fn delivery_schedule(
+        fault: impl FnOnce(&mut Simulation, &NetworkHandle) + 'static,
+        submit: impl Fn(u8, u16, u16) -> bool + Copy + 'static,
+    ) -> Deliveries {
+        let mut sim = Simulation::new(21);
+        let jitter = LatencyModel::uniform(Duration::from_micros(10), Duration::from_millis(3));
+        let net = NetworkHandle::new(
+            LinkConfig::with_latency(jitter.clone())
+                .reordering()
+                .with_drop_probability(0.3),
+            sim.fork_rng("net"),
+        );
+        // One FIFO link, so next-free bookkeeping is covered too.
+        net.configure_link(
+            NodeId(3),
+            NodeId(4),
+            LinkConfig::with_latency(jitter).with_drop_probability(0.3),
+        );
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for node in 1..=4u16 {
+            let sink = log.clone();
+            net.set_receiver(NodeId(node), move |sim, f| {
+                sink.borrow_mut()
+                    .push((sim.now(), f.src.0, f.dst.0, f.payload[0]));
+            });
+        }
+        let round_at = |round: u8| Instant::from_micros(u64::from(round) * 700);
+        let faulty = net.clone();
+        sim.schedule_at(round_at(FAULT_ROUND), move |sim| fault(sim, &faulty));
+        let links = [(1, 2), (2, 1), (1, 3), (2, 3), (3, 4), (4, 1), (3, 1)];
+        for round in 0..40u8 {
+            let net = net.clone();
+            sim.schedule_at(round_at(round), move |sim| {
+                for (src, dst) in links {
+                    if submit(round, src, dst) {
+                        net.send(sim, frame(src, dst, round));
+                    }
+                }
+            });
+        }
+        sim.run_to_completion();
+        let deliveries = log.borrow().clone();
+        deliveries
+    }
+
+    #[test]
+    fn dead_link_or_node_draws_no_randomness() {
+        // All links share one RNG stream, so killing a link mid-run
+        // changes every other link's schedule exactly as much as no
+        // longer sending on it would — and no more, because a dead link
+        // or node draws nothing.
+        let all = |_, _, _| true;
+        let healthy = delivery_schedule(|_, _| {}, all);
+        assert!(healthy.len() < 40 * 7, "the loss model must be exercised");
+        let late = |round| round >= FAULT_ROUND;
+
+        let link_killed =
+            delivery_schedule(|_, net| net.set_link_up(NodeId(1), NodeId(2), false), all);
+        let never_sent = delivery_schedule(
+            |_, _| {},
+            move |round, src, dst| !late(round) || (src, dst) != (1, 2),
+        );
+        assert_eq!(link_killed, never_sent);
+        assert_ne!(link_killed, healthy);
+        assert!(link_killed
+            .iter()
+            .any(|&(_, src, dst, round)| (src, dst) == (1, 2) && !late(round)));
+        assert!(!link_killed
+            .iter()
+            .any(|&(_, src, dst, round)| (src, dst) == (1, 2) && late(round)));
+
+        let node_down = delivery_schedule(|sim, net| net.set_node_up(sim, NodeId(1), false), all);
+        let never_sent =
+            delivery_schedule(|_, _| {}, move |round, src, _| !late(round) || src != 1);
+        assert_eq!(node_down, never_sent);
+        // Frames *to* the downed node still arrive.
+        assert!(node_down
+            .iter()
+            .any(|&(_, _, dst, round)| dst == 1 && late(round)));
+    }
+
+    #[test]
+    fn clear_receiver_makes_frames_unroutable_again() {
+        let mut sim = Simulation::new(0);
+        let net = NetworkHandle::new(LinkConfig::default(), sim.fork_rng("net"));
+        let hits = Rc::new(RefCell::new(Vec::new()));
+        let sink = hits.clone();
+        net.set_receiver(NodeId(300), move |_, f| {
+            sink.borrow_mut().push(f.payload[0])
+        });
+        // Clearing an id the table has never grown to is a no-op.
+        net.clear_receiver(NodeId(4000));
+        net.send(&mut sim, frame(1, 300, 1));
+        net.send(&mut sim, frame(1, 4000, 2));
+        net.send(&mut sim, frame(1, 7, 3)); // inside the table, empty slot
+        sim.run_to_completion();
+        assert_eq!(*hits.borrow(), vec![1]);
+        assert_eq!((net.stats().delivered, net.stats().unroutable), (1, 2));
+
+        net.clear_receiver(NodeId(300));
+        net.send(&mut sim, frame(1, 300, 4));
+        sim.run_to_completion();
+        assert_eq!(*hits.borrow(), vec![1]);
+        assert_eq!((net.stats().delivered, net.stats().unroutable), (1, 3));
+
+        let sink = hits.clone();
+        net.set_receiver(NodeId(300), move |_, f| {
+            sink.borrow_mut().push(f.payload[0])
+        });
+        net.send(&mut sim, frame(1, 300, 5));
+        sim.run_to_completion();
+        assert_eq!(*hits.borrow(), vec![1, 5]);
     }
 
     #[test]

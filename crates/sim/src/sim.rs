@@ -9,6 +9,7 @@
 //! property that lets us reproduce the paper's Figure 5 error distributions
 //! without the original two-board hardware setup.
 
+use crate::net::{Frame, NetworkHandle};
 use crate::rng::SimRng;
 use crate::trace::Trace;
 use dear_observe::Observe;
@@ -17,13 +18,20 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
 
-/// A scheduled event: a boxed closure run at a simulated instant.
-type EventFn = Box<dyn FnOnce(&mut Simulation)>;
+/// What a calendar entry does when its instant comes.
+enum Event {
+    /// A boxed closure.
+    Call(Box<dyn FnOnce(&mut Simulation)>),
+    /// A network frame arriving at its destination. Deliveries are most
+    /// of the events in a networked run, so they are stored unboxed:
+    /// scheduling one allocates nothing.
+    Deliver(NetworkHandle, Frame),
+}
 
 struct CalEntry {
     at: Instant,
     seq: u64,
-    event: EventFn,
+    event: Event,
 }
 
 impl PartialEq for CalEntry {
@@ -168,6 +176,16 @@ impl Simulation {
     ///
     /// Panics if `at` is in the past.
     pub fn schedule_at(&mut self, at: Instant, event: impl FnOnce(&mut Simulation) + 'static) {
+        self.push(at, Event::Call(Box::new(event)));
+    }
+
+    /// Schedules the delivery of `frame` through `net` at `at`. It takes
+    /// its place in the same `(time, sequence)` order as closures do.
+    pub(crate) fn schedule_delivery(&mut self, at: Instant, net: NetworkHandle, frame: Frame) {
+        self.push(at, Event::Deliver(net, frame));
+    }
+
+    fn push(&mut self, at: Instant, event: Event) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: at={at} now={}",
@@ -175,11 +193,7 @@ impl Simulation {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.calendar.push(CalEntry {
-            at,
-            seq,
-            event: Box::new(event),
-        });
+        self.calendar.push(CalEntry { at, seq, event });
     }
 
     /// Schedules `event` after the given non-negative delay.
@@ -205,7 +219,10 @@ impl Simulation {
                 debug_assert!(entry.at >= self.now, "calendar went backwards");
                 self.now = entry.at;
                 self.executed += 1;
-                (entry.event)(self);
+                match entry.event {
+                    Event::Call(event) => event(self),
+                    Event::Deliver(net, frame) => net.deliver(self, frame),
+                }
                 true
             }
             None => false,
@@ -364,6 +381,66 @@ mod tests {
         }
         sim.run_to_completion();
         assert_eq!(*order.borrow(), vec!["first", "second", "third"]);
+    }
+
+    #[test]
+    fn deliveries_and_closures_share_one_tie_order() {
+        use crate::net::{LinkConfig, NodeId};
+
+        fn frame(byte: u8) -> Frame {
+            Frame {
+                src: NodeId(1),
+                dst: NodeId(2),
+                payload: vec![byte].into(),
+            }
+        }
+        let mut sim = Simulation::new(0);
+        let net = NetworkHandle::new(LinkConfig::ideal(Duration::ZERO), sim.fork_rng("net"));
+        let order = Rc::new(RefCell::new(Vec::new()));
+        let sink = order.clone();
+        net.set_receiver(NodeId(2), move |_, f| {
+            sink.borrow_mut().push(format!("frame {}", f.payload[0]));
+        });
+        let closure = |label: &'static str| {
+            let order = order.clone();
+            move |_: &mut Simulation| order.borrow_mut().push(label.to_string())
+        };
+        let at = Instant::from_millis(5);
+        // Closure first, then a delivery, then a closure.
+        sim.schedule_at(at, closure("a"));
+        sim.schedule_delivery(at, net.clone(), frame(1));
+        sim.schedule_at(at, closure("b"));
+        // Delivery first, then a closure, then a delivery.
+        let later = Instant::from_millis(6);
+        sim.schedule_delivery(later, net.clone(), frame(2));
+        sim.schedule_at(later, closure("c"));
+        sim.schedule_delivery(later, net.clone(), frame(3));
+        // A delivery sent during an event at `now` runs after that event
+        // returns, and after what was already scheduled for `now`.
+        let last = Instant::from_millis(7);
+        let sender = net.clone();
+        let log = order.clone();
+        sim.schedule_at(last, move |sim| {
+            sender.send(sim, frame(4));
+            log.borrow_mut().push("sender returns".to_string());
+        });
+        sim.schedule_at(last, closure("d"));
+        sim.run_to_completion();
+        assert_eq!(
+            *order.borrow(),
+            [
+                "a",
+                "frame 1",
+                "b",
+                "frame 2",
+                "c",
+                "frame 3",
+                "sender returns",
+                "d",
+                "frame 4"
+            ]
+        );
+        assert_eq!(sim.now(), last);
     }
 
     #[test]

@@ -368,33 +368,31 @@ impl Binding {
         event: u16,
         payload: impl Into<FrameBuf>,
     ) {
-        let frames = {
-            let mut inner = self.0.borrow_mut();
-            let subscribers = inner.sd.subscribers(instance, eventgroup);
-            let tag = inner.outgoing_tags.pop_front();
-            let mut msg =
-                SomeIpMessage::notification(MessageId::new(instance.service, event), payload);
-            if let Some(tag) = tag {
-                msg = msg.with_tag(tag);
-            }
-            // One encode for the whole fan-out; every subscriber's frame
-            // is a view of the same buffer.
-            let bytes = msg.into_frame(&inner.pool);
-            let frames: Vec<Frame> = subscribers
-                .iter()
-                .map(|&dst| Frame {
-                    src: inner.node,
-                    dst,
-                    payload: bytes.clone(),
-                })
-                .collect();
-            inner.stats.notifications_sent += frames.len() as u64;
-            frames
-        };
-        let net = self.0.borrow().net.clone();
-        for frame in frames {
-            net.send(sim, frame);
+        let mut inner = self.0.borrow_mut();
+        let inner = &mut *inner;
+        let mut msg = SomeIpMessage::notification(MessageId::new(instance.service, event), payload);
+        if let Some(tag) = inner.outgoing_tags.pop_front() {
+            msg = msg.with_tag(tag);
         }
+        // One encode for the whole fan-out; every subscriber's frame is a
+        // view of the same buffer. Sending while both the binding and the
+        // subscription list are borrowed is safe: `send` only schedules
+        // the deliveries, it never runs a receiver.
+        let bytes = msg.into_frame(&inner.pool);
+        let sent = inner
+            .sd
+            .with_subscribers(instance, eventgroup, |subscribers| {
+                for &dst in subscribers {
+                    let frame = Frame {
+                        src: inner.node,
+                        dst,
+                        payload: bytes.clone(),
+                    };
+                    inner.net.send(sim, frame);
+                }
+                subscribers.len()
+            });
+        inner.stats.notifications_sent += sent as u64;
     }
 
     fn resolve(

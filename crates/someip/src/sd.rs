@@ -114,6 +114,17 @@ impl SdInner {
     }
 }
 
+/// Every stored offer of `service` (expired ones included), in instance
+/// order: a range over the service's keys, not a scan of the registry.
+fn offers_of_service(
+    offers: &BTreeMap<ServiceInstance, Offer>,
+    service: u16,
+) -> impl Iterator<Item = &Offer> {
+    offers
+        .range(ServiceInstance::new(service, 0)..=ServiceInstance::new(service, u16::MAX))
+        .map(|(_, offer)| offer)
+}
+
 /// The deterministic best-offer choice for `(service, pattern)`:
 /// lowest `(priority, instance)` among valid offers.
 fn best_of(
@@ -122,15 +133,18 @@ fn best_of(
     service: u16,
     pattern: u16,
 ) -> Option<Offer> {
-    offers
-        .values()
-        .filter(|o| {
-            o.instance.service == service
-                && (pattern == ANY_INSTANCE || o.instance.instance == pattern)
-                && o.valid_until >= now
-        })
-        .min_by_key(|o| (o.priority, o.instance.instance))
-        .copied()
+    let valid = |o: &&Offer| o.valid_until >= now;
+    if pattern == ANY_INSTANCE {
+        offers_of_service(offers, service)
+            .filter(valid)
+            .min_by_key(|o| (o.priority, o.instance.instance))
+            .copied()
+    } else {
+        offers
+            .get(&ServiceInstance::new(service, pattern))
+            .filter(valid)
+            .copied()
+    }
 }
 
 /// A shared handle to the discovery domain.
@@ -281,10 +295,8 @@ impl SdRegistry {
             });
             // Offers made before the first watcher existed never armed an
             // expiry event; arm them now so their TTLs are enforced too.
-            let expiries = inner
-                .offers
-                .values()
-                .filter(|o| o.instance.service == service && o.valid_until < Instant::MAX)
+            let expiries = offers_of_service(&inner.offers, service)
+                .filter(|o| o.valid_until < Instant::MAX)
                 .map(|o| (o.instance, o.valid_until))
                 .collect();
             (initial, callback, expiries)
@@ -402,12 +414,24 @@ impl SdRegistry {
     /// Current subscribers of an eventgroup (sorted, deterministic).
     #[must_use]
     pub fn subscribers(&self, instance: ServiceInstance, eventgroup: u16) -> Vec<NodeId> {
-        self.0
-            .borrow()
+        self.with_subscribers(instance, eventgroup, <[NodeId]>::to_vec)
+    }
+
+    /// Runs `f` on the eventgroup's current subscribers (sorted) while
+    /// the registry is borrowed, so fan-out needs no copy of the list.
+    /// `f` must not modify this registry.
+    pub(crate) fn with_subscribers<R>(
+        &self,
+        instance: ServiceInstance,
+        eventgroup: u16,
+        f: impl FnOnce(&[NodeId]) -> R,
+    ) -> R {
+        let inner = self.0.borrow();
+        let subscribers = inner
             .subscriptions
             .get(&(instance.service, instance.instance, eventgroup))
-            .cloned()
-            .unwrap_or_default()
+            .map_or(&[][..], Vec::as_slice);
+        f(subscribers)
     }
 
     /// All currently valid offers of `service`, best first (ascending
@@ -416,10 +440,8 @@ impl SdRegistry {
     #[must_use]
     pub fn offers_of(&self, sim: &Simulation, service: u16) -> Vec<Offer> {
         let inner = self.0.borrow();
-        let mut offers: Vec<Offer> = inner
-            .offers
-            .values()
-            .filter(|o| o.instance.service == service && o.valid_until >= sim.now())
+        let mut offers: Vec<Offer> = offers_of_service(&inner.offers, service)
+            .filter(|o| o.valid_until >= sim.now())
             .copied()
             .collect();
         offers.sort_by_key(|o| (o.priority, o.instance.instance));
