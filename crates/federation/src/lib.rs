@@ -10,15 +10,17 @@
 //! SOME/IP middleware:
 //!
 //! * [`LbtsSolver`] — the Chandy–Misra-style LBTS fixpoint itself,
-//!   shared by every coordination level over the [`LbtsGraph`] trait;
-//! * [`Rti`] — the flat coordinator: per-federate NET/LTC state, the
-//!   declared inter-federate topology, and TAG/PTAG grants (including
-//!   provisional grants that break zero-delay cycles);
-//! * [`HierarchicalRti`] — the fleet-scale topology: zone coordinators
-//!   own their local federates and roll per-zone floors up to a root
-//!   that solves the same fixpoint over zone summaries, with batched
-//!   coordination frames on every fan-out/roll-up hop and per-shard
-//!   liveness (a silent zone is released without stalling its siblings);
+//!   run by every coordination level over the [`LbtsGraph`] trait;
+//! * one coordinator node type, with a table of federates, child nodes
+//!   and proxies for upstream zones. It grants TAG/PTAG advances
+//!   (provisional grants break zero-delay cycles), relays floors to its
+//!   child nodes, rolls its own floor up to its parent, and watches its
+//!   children's liveness. Two public handles wrap it: [`Rti`], the flat
+//!   coordinator, is one parentless node over the federates (depth 1);
+//!   [`HierarchicalRti`] is a parentless root over zone nodes that own
+//!   the federates (depth 2), for fleet scale, with batched coordination
+//!   frames on every zone hop and a silent zone released without
+//!   stalling its siblings;
 //! * [`CoordinatedPlatform`] — a drop-in [`PlatformDriver`]: the
 //!   decentralized driver's clock gating *plus* grant gating through the
 //!   runtime's externally granted tag bound, with all coordination
@@ -77,21 +79,16 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod hierarchy;
+mod coordinator;
 mod platform;
-mod rti;
 mod solver;
-mod zone;
 
-pub use hierarchy::HierarchicalRti;
+pub use coordinator::{
+    FederateId, FederationError, HierarchicalRti, Rti, RtiStats, ZoneId, MAX_FEDERATES,
+};
 pub use platform::{CoordinatedPlatform, PlatformRecovery};
-pub use rti::{FederateId, FederationError, Rti, RtiStats, MAX_FEDERATES};
 pub use solver::{
     edge_add, lattice_next, node_floor, tag_succ, LbtsGraph, LbtsSolver, NodeView, TAG_MAX,
-};
-pub use zone::{
-    zone_instance, zone_uplink_eventgroup, ZoneId, COORD_ROOT_INSTANCE, MAX_ZONES,
-    ZONE_INSTANCE_BASE, ZONE_MEMBER_EVENTGROUP, ZONE_UPLINK_EVENTGROUP_BASE,
 };
 
 // Re-exported so scenario code can pick a strategy without importing

@@ -16,18 +16,18 @@
 //! [`TransactorStats`], so centralized and decentralized runs report
 //! comparable numbers.
 
-use crate::hierarchy::HierarchicalRti;
-use crate::rti::{FederateId, FederationError, Rti};
+use crate::coordinator::{
+    for_each_record, zone_instance, FederateId, FederationError, HierarchicalRti, Rti, ZoneId,
+    ZONE_MEMBER_EVENTGROUP,
+};
 use crate::solver::{tag_succ, TAG_MAX};
-use crate::zone::{zone_instance, ZoneId, ZONE_MEMBER_EVENTGROUP};
 use dear_core::{PhysicalAction, ReactionId, Runtime, RuntimeStats, StepOutcome, Tag};
 use dear_durable::{EventLog, Record};
 use dear_observe::{Lane, Observe};
 use dear_sim::{LatencyModel, SimRng, Simulation, VirtualClock};
 use dear_someip::{
     coord_eventgroup, Binding, CoordBatch, CoordKind, CoordMsg, ServiceInstance, WireTag,
-    COORD_BATCH_MARKER, COORD_EVENT, COORD_INSTANCE, COORD_METHOD, COORD_SERVICE, DNET_SINK,
-    TAG_NEVER,
+    COORD_EVENT, COORD_INSTANCE, COORD_METHOD, COORD_SERVICE, DNET_SINK, TAG_NEVER,
 };
 use dear_time::Instant;
 use dear_transactors::{
@@ -190,6 +190,26 @@ struct PlatformInner {
 }
 
 impl PlatformInner {
+    /// The NET report (queue head + physical fence) due at true time
+    /// `now`, recorded as sent; `None` while the platform is not live or
+    /// when the report repeats the last one or is suppressed. A
+    /// `heartbeat` is sent unconditionally: liveness needs traffic.
+    fn net_report(&mut self, now: Instant, heartbeat: bool) -> Option<CoordMsg> {
+        if !self.started || self.resigned || self.crashed {
+            return None;
+        }
+        let head = self.runtime.next_tag().map_or(TAG_NEVER, tag_to_wire);
+        let fence = tag_to_wire(Tag::at(self.clock.local_time(now)));
+        if !heartbeat && (self.last_net == Some((head, fence)) || self.suppress_net(head)) {
+            return None;
+        }
+        self.last_net = Some((head, fence));
+        self.last_net_sent_at = Some(now);
+        self.stats.record_net_sent();
+        self.observe.count("coord/sent/net", 1);
+        Some(CoordMsg::net(self.federate.0, head, fence))
+    }
+
     /// Whether the NET report with queue head `head` may be skipped,
     /// counting it when so. Two rules, both fixpoint-neutral: a
     /// DNET-flagged sink constrains nobody downstream, and a pure
@@ -798,18 +818,7 @@ impl CoordinatedPlatform {
             // A crashed process sends nothing — its silence is what the
             // liveness watchdog detects — but the tick keeps rescheduling
             // so the heartbeat resumes the moment recovery completes.
-            if inner.started && !inner.crashed {
-                let head = inner.runtime.next_tag().map_or(TAG_NEVER, tag_to_wire);
-                let local_now = inner.clock.local_time(sim.now());
-                let fence = tag_to_wire(Tag::at(local_now));
-                inner.last_net = Some((head, fence));
-                inner.last_net_sent_at = Some(sim.now());
-                inner.stats.record_net_sent();
-                inner.observe.count("coord/sent/net", 1);
-                Some(CoordMsg::net(inner.federate.0, head, fence))
-            } else {
-                None
-            }
+            inner.net_report(sim.now(), true)
         };
         if let Some(msg) = msg {
             self.send_to_rti(sim, msg);
@@ -939,22 +948,7 @@ impl CoordinatedPlatform {
     fn send_step_batch(&self, sim: &mut Simulation, ltc: CoordMsg) {
         let (binding, instance, net) = {
             let mut inner = self.0.borrow_mut();
-            let net = if !inner.started || inner.resigned || inner.crashed {
-                None
-            } else {
-                let head = inner.runtime.next_tag().map_or(TAG_NEVER, tag_to_wire);
-                let local_now = inner.clock.local_time(sim.now());
-                let fence = tag_to_wire(Tag::at(local_now));
-                if inner.last_net == Some((head, fence)) || inner.suppress_net(head) {
-                    None
-                } else {
-                    inner.last_net = Some((head, fence));
-                    inner.last_net_sent_at = Some(sim.now());
-                    inner.stats.record_net_sent();
-                    inner.observe.count("coord/sent/net", 1);
-                    Some(CoordMsg::net(inner.federate.0, head, fence))
-                }
-            };
+            let net = inner.net_report(sim.now(), false);
             inner.stats.record_coord_batch_sent();
             (inner.binding.clone(), inner.coord_instance, net)
         };
@@ -974,25 +968,7 @@ impl CoordinatedPlatform {
 
     /// Reports NET (queue head + physical fence) when it changed.
     fn report_status(&self, sim: &mut Simulation) {
-        let msg = {
-            let mut inner = self.0.borrow_mut();
-            if !inner.started || inner.resigned || inner.crashed {
-                None
-            } else {
-                let head = inner.runtime.next_tag().map_or(TAG_NEVER, tag_to_wire);
-                let local_now = inner.clock.local_time(sim.now());
-                let fence = tag_to_wire(Tag::at(local_now));
-                if inner.last_net == Some((head, fence)) || inner.suppress_net(head) {
-                    None
-                } else {
-                    inner.last_net = Some((head, fence));
-                    inner.last_net_sent_at = Some(sim.now());
-                    inner.stats.record_net_sent();
-                    inner.observe.count("coord/sent/net", 1);
-                    Some(CoordMsg::net(inner.federate.0, head, fence))
-                }
-            }
-        };
+        let msg = self.0.borrow_mut().net_report(sim.now(), false);
         if let Some(msg) = msg {
             self.send_to_rti(sim, msg);
         }
@@ -1004,28 +980,17 @@ impl CoordinatedPlatform {
     /// the same order a flat RTI would have delivered them in).
     fn on_grant_frame(&self, sim: &mut Simulation, payload: &[u8]) {
         let now = sim.now();
-        if payload.first() == Some(&COORD_BATCH_MARKER) {
-            let Ok(batch) = CoordBatch::decode(payload) else {
-                return;
-            };
-            {
-                let inner = self.0.borrow();
-                inner.stats.record_coord_batch_received();
-                inner
-                    .observe
-                    .record_value("coord/grant_batch_size", batch.len() as u64);
-            }
-            let mut applied = false;
-            for msg in batch.iter() {
-                applied |= self.apply_grant(&msg, now);
-            }
-            if applied {
-                self.arm(sim);
-            }
-        } else if let Ok(msg) = CoordMsg::decode(payload) {
-            if self.apply_grant(&msg, now) {
-                self.arm(sim);
-            }
+        let mut applied = false;
+        let batch = for_each_record(payload, |msg| applied |= self.apply_grant(msg, now));
+        if let Some(len) = batch {
+            let inner = self.0.borrow();
+            inner.stats.record_coord_batch_received();
+            inner
+                .observe
+                .record_value("coord/grant_batch_size", len as u64);
+        }
+        if applied {
+            self.arm(sim);
         }
     }
 

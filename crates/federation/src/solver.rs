@@ -1,12 +1,11 @@
 //! The LBTS solver: the Chandy–Misra-style fixpoint shared by every
 //! coordination level.
 //!
-//! PR 2's flat [`Rti`](crate::Rti) computed LBTS inline over its federate
-//! table. The hierarchical coordinator runs the **same** computation at
-//! two levels — each zone solves over its members (plus proxies standing
-//! in for upstream zones), the root solves over zone summaries — so the
-//! fixpoint lives here, behind a small graph abstraction, and a flat
-//! federation is simply the one-zone special case.
+//! Every coordinator node runs the **same** computation over its own
+//! table — the flat [`Rti`](crate::Rti) over its federates, each zone
+//! over its members (plus proxies standing in for upstream zones), the
+//! root over zone summaries — so the fixpoint lives here, behind a small
+//! graph abstraction.
 //!
 //! A node's **floor** (the earliest tag it may still process or send at)
 //! is `max(succ(completed), min(head, arrival_floor))`, where the arrival

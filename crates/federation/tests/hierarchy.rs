@@ -6,7 +6,7 @@
 //! at the root while sibling zones keep advancing.
 
 use dear_core::{ProgramBuilder, Runtime, Tag};
-use dear_federation::{CoordinatedPlatform, HierarchicalRti, Rti, ZoneId};
+use dear_federation::{CoordinatedPlatform, HierarchicalRti, Rti, RtiStats, ZoneId};
 use dear_sim::{LinkConfig, NetworkHandle, NodeId, SimRng, Simulation, VirtualClock};
 use dear_someip::{Binding, SdRegistry, ServiceInstance};
 use dear_time::{Duration, Instant};
@@ -493,4 +493,267 @@ fn dead_zone_releases_floor_for_sibling_zones() {
         seen < 5,
         "without liveness the sibling stalls on the dead zone's frozen floor (saw {seen})"
     );
+}
+
+/// A federation built step by step, for tests whose point is the order
+/// of zone creation, registration and topology declarations.
+struct World {
+    sim: Simulation,
+    net: NetworkHandle,
+    sd: SdRegistry,
+    flat: Option<Rti>,
+    hier: Option<HierarchicalRti>,
+}
+
+/// A consumer's `(tag, value)` log and its transactor counters.
+type Seen = (
+    Arc<Mutex<Vec<(Tag, u8)>>>,
+    dear_transactors::TransactorStats,
+);
+
+impl World {
+    /// Node 0 hosts the flat RTI or the root; zones are added by the test.
+    fn new(seed: u64, coordinator: Coordinator) -> Self {
+        let mut sim = Simulation::new(seed);
+        let net = NetworkHandle::new(
+            LinkConfig::ideal(Duration::from_micros(100)),
+            sim.fork_rng("net"),
+        );
+        let sd = SdRegistry::new();
+        let (flat, hier) = match coordinator {
+            Coordinator::Flat => (Some(Rti::new(&mut sim, &net, &sd, NodeId(0))), None),
+            Coordinator::TwoZones => (
+                None,
+                Some(HierarchicalRti::new(&mut sim, &net, &sd, NodeId(0))),
+            ),
+        };
+        World {
+            sim,
+            net,
+            sd,
+            flat,
+            hier,
+        }
+    }
+
+    fn add_zone(&mut self, node: NodeId) -> ZoneId {
+        let hier = self.hier.as_ref().expect("zones need the hierarchy");
+        hier.add_zone(&mut self.sim, &self.net, &self.sd, node)
+    }
+
+    fn platform(
+        &mut self,
+        name: &str,
+        zone: ZoneId,
+        runtime: Runtime,
+        outbox: Outbox,
+        binding: &Binding,
+    ) -> CoordinatedPlatform {
+        let rng = self.sim.fork_rng(name);
+        let clock = VirtualClock::ideal();
+        match (&self.flat, &self.hier) {
+            (Some(rti), None) => {
+                CoordinatedPlatform::new(name, runtime, clock, outbox, rng, rti, binding, false)
+            }
+            (None, Some(h)) => CoordinatedPlatform::new_in_zone(
+                name, runtime, clock, outbox, rng, h, zone, binding, false,
+            )
+            .unwrap(),
+            _ => unreachable!(),
+        }
+    }
+
+    /// A timer federate publishing `data` on `service`, one byte every
+    /// 10 ms, then ticking on without output.
+    fn producer(
+        &mut self,
+        name: &'static str,
+        zone: ZoneId,
+        node: NodeId,
+        service: u16,
+        data: Vec<u8>,
+    ) -> CoordinatedPlatform {
+        let deadline = Duration::from_millis(2);
+        let outbox = Outbox::new();
+        let mut b = ProgramBuilder::new();
+        let publish = ServerEventTransactor::declare(&mut b, &outbox, name, deadline);
+        {
+            let mut logic = b.reactor(name, 0usize);
+            let out = logic.output::<dear_someip::FrameBuf>("out");
+            let period = Duration::from_millis(10);
+            let t = logic.timer("emit", period, Some(period));
+            logic
+                .reaction("emit")
+                .triggered_by(t)
+                .effects(out)
+                .body(move |n: &mut usize, ctx| {
+                    if *n < data.len() {
+                        ctx.set(out, vec![data[*n]].into());
+                    }
+                    *n += 1;
+                });
+            logic.finish();
+            b.connect(out, publish.event).unwrap();
+        }
+        let binding = Binding::new(&self.net, &self.sd, node, 0x10 + node.0);
+        binding.offer(
+            &mut self.sim,
+            ServiceInstance::new(service, INSTANCE),
+            Duration::from_secs(1 << 20),
+        );
+        let runtime = Runtime::new(b.build().unwrap());
+        let p = self.platform(name, zone, runtime, outbox, &binding);
+        publish.bind(&p, &binding, spec(service));
+        p
+    }
+
+    /// A transactor consumer of `service` with a seeded compute cost.
+    fn consumer(
+        &mut self,
+        name: &'static str,
+        zone: ZoneId,
+        node: NodeId,
+        service: u16,
+    ) -> (CoordinatedPlatform, Seen) {
+        let cfg = DearConfig::new(Duration::from_millis(1), Duration::ZERO);
+        let mut b = ProgramBuilder::new();
+        let input = ClientEventTransactor::declare(&mut b, name);
+        let seen: Arc<Mutex<Vec<(Tag, u8)>>> = Arc::new(Mutex::new(Vec::new()));
+        let collect_rid;
+        {
+            let mut logic = b.reactor(name, ());
+            let sink = seen.clone();
+            collect_rid =
+                logic
+                    .reaction("collect")
+                    .triggered_by(input.event)
+                    .body(move |_, ctx| {
+                        let v = ctx.get(input.event).unwrap()[0];
+                        sink.lock().unwrap().push((ctx.tag(), v));
+                    });
+            logic.finish();
+        }
+        let binding = Binding::new(&self.net, &self.sd, node, 0x10 + node.0);
+        let runtime = Runtime::new(b.build().unwrap());
+        let p = self.platform(name, zone, runtime, Outbox::new(), &binding);
+        let stats = input.bind(&p, &binding, spec(service), cfg);
+        let cost =
+            dear_sim::LatencyModel::uniform(Duration::from_micros(10), Duration::from_micros(200));
+        p.set_reaction_cost(collect_rid, cost);
+        (p, (seen, stats))
+    }
+
+    /// Declares the transactor edge `up -> down` (`D + L + E` = 3 ms).
+    fn connect(&self, up: &CoordinatedPlatform, down: &CoordinatedPlatform) {
+        let edge_delay = Duration::from_millis(3);
+        match (&self.flat, &self.hier) {
+            (Some(rti), None) => rti.connect(up.federate_id(), down.federate_id(), edge_delay),
+            (None, Some(h)) => h.connect(up.federate_id(), down.federate_id(), edge_delay),
+            _ => unreachable!(),
+        }
+    }
+}
+
+/// Members registered *after* a cross-zone edge already gave their zone
+/// a proxy for the upstream zone: both zones end up with a member, then
+/// a proxy, then another member in registration order. The logical
+/// traces must still match the flat RTI's, seed for seed.
+#[test]
+fn members_registered_after_a_proxy_match_flat_rti() {
+    fn run(seed: u64, coordinator: Coordinator) -> (Vec<Vec<(Tag, u8)>>, u64) {
+        let mut w = World::new(seed, coordinator);
+        let (zone0, zone1) = match coordinator {
+            Coordinator::Flat => (ZoneId(0), ZoneId(0)),
+            Coordinator::TwoZones => (w.add_zone(NodeId(1)), w.add_zone(NodeId(2))),
+        };
+        let mut payload_rng = SimRng::seed_from_u64(seed ^ 0xfeed);
+        let mut payloads =
+            || -> Vec<u8> { (0..EVENTS).map(|_| payload_rng.next_u64() as u8).collect() };
+        let p0 = w.producer("p0", zone0, NodeId(3), SERVICE_PING, payloads());
+        let p1 = w.producer("p1", zone1, NodeId(4), SERVICE_PONG, payloads());
+        // Cross-zone edges first: each zone gets its proxy here.
+        let (c1, seen1) = w.consumer("c1", zone1, NodeId(5), SERVICE_PING);
+        w.connect(&p0, &c1);
+        let (c2, seen2) = w.consumer("c2", zone0, NodeId(6), SERVICE_PONG);
+        w.connect(&p1, &c2);
+        // Then one more member per zone, behind the proxies.
+        let (c0, seen0) = w.consumer("c0", zone0, NodeId(7), SERVICE_PING);
+        w.connect(&p0, &c0);
+        let (c3, seen3) = w.consumer("c3", zone1, NodeId(8), SERVICE_PONG);
+        w.connect(&p1, &c3);
+
+        let platforms = [&p0, &p1, &c1, &c2, &c0, &c3];
+        for p in platforms {
+            p.start(&mut w.sim);
+        }
+        w.sim.run_until(Instant::from_millis(200));
+        let seen = [seen0, seen1, seen2, seen3];
+        let traces = seen
+            .iter()
+            .map(|(s, _)| s.lock().unwrap().clone())
+            .collect();
+        let violations: u64 = seen.iter().map(|(_, s)| s.stp_violations()).sum();
+        let breaches: u64 = platforms
+            .iter()
+            .map(|p| p.coordination_stats().bound_breaches())
+            .sum();
+        (traces, violations + breaches)
+    }
+
+    for seed in [0u64, 1, 7] {
+        let (flat, flat_faults) = run(seed, Coordinator::Flat);
+        let (hier, hier_faults) = run(seed, Coordinator::TwoZones);
+        assert_eq!(flat, hier, "seed {seed}: traces diverged");
+        for (lane, trace) in flat.iter().enumerate() {
+            assert_eq!(trace.len(), EVENTS, "seed {seed}: consumer {lane}");
+        }
+        assert_eq!(flat_faults + hier_faults, 0, "seed {seed}");
+    }
+}
+
+/// Liveness is zone configuration that a zone added *later* inherits:
+/// zone 1 joins after `enable_liveness`, one of its members crashes, and
+/// zone 1's own watchdog declares that member dead, so the zone floor
+/// rises past it. The root keeps hearing zone 1 and releases nothing,
+/// so the zone-0 consumer of zone 1's live producer sees every payload
+/// in order. Enabling liveness a second time changes no counter.
+#[test]
+fn zone_added_after_enable_liveness_watches_its_members() {
+    fn run(enables: usize) -> [RtiStats; 3] {
+        let mut w = World::new(5, Coordinator::TwoZones);
+        let zone0 = w.add_zone(NodeId(1));
+        let hier = w.hier.clone().unwrap();
+        for _ in 0..enables {
+            hier.enable_liveness(&mut w.sim, Duration::from_millis(50));
+        }
+        let zone1 = w.add_zone(NodeId(2));
+
+        let payloads = vec![1, 2, 3, 4, 5];
+        let producer = w.producer("producer", zone1, NodeId(3), SERVICE_PING, payloads);
+        let victim = w.producer("victim", zone1, NodeId(4), SERVICE_PONG, Vec::new());
+        let (consumer, (seen, stats)) = w.consumer("consumer", zone0, NodeId(5), SERVICE_PING);
+        w.connect(&producer, &consumer);
+        for p in [&producer, &victim, &consumer] {
+            p.start(&mut w.sim);
+            p.enable_heartbeat(&mut w.sim, Duration::from_millis(10));
+        }
+        w.sim.run_until(Instant::from_millis(25));
+        victim.crash(&w.sim);
+        w.sim.run_until(Instant::from_secs(1));
+
+        let (root, zone0, zone1) = (
+            hier.root_stats(),
+            hier.zone_stats(zone0),
+            hier.zone_stats(zone1),
+        );
+        assert_eq!(zone1.deaths, 1, "zone 1 declares its member dead");
+        assert_eq!(zone0.deaths, 0);
+        assert_eq!(root.deaths, 0, "the root never loses zone 1");
+        let values: Vec<u8> = seen.lock().unwrap().iter().map(|&(_, v)| v).collect();
+        assert_eq!(values, [1, 2, 3, 4, 5]);
+        assert_eq!(stats.stp_violations(), 0);
+        [root, zone0, zone1]
+    }
+
+    assert_eq!(run(1), run(2), "enable_liveness is idempotent");
 }
