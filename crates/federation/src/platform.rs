@@ -1,10 +1,13 @@
-//! The coordinated platform driver: `FederatedPlatform` semantics plus
-//! RTI-granted tag advances.
+//! The coordinated platform driver: the decentralized driver's
+//! scheduling core plus RTI-granted tag advances.
 //!
-//! A [`CoordinatedPlatform`] gates tag processing on **both** conditions:
+//! A [`CoordinatedPlatform`] embeds the same [`PlatformCore`] as
+//! `FederatedPlatform` — one wake policy, one step-and-charge, one route
+//! dispatch — and adds only the grant gate. It processes a tag when
+//! **both** hold:
 //!
-//! 1. the platform's local physical clock has passed the tag (the same
-//!    rule the decentralized driver enforces — this keeps deadline
+//! 1. the platform's local physical clock has passed the tag (the core's
+//!    rule, shared with the decentralized driver — this keeps deadline
 //!    behaviour and therefore event traces bit-identical), and
 //! 2. the tag lies strictly below the bound granted by the [`Rti`]
 //!    (inclusively below for a provisional PTAG).
@@ -31,15 +34,14 @@ use dear_someip::{
 };
 use dear_time::Instant;
 use dear_transactors::{
-    tag_to_wire, wire_to_tag, OutboundMsg, Outbox, PlatformDriver, TransactorStats,
+    tag_to_wire, wire_to_tag, OutboundMsg, Outbox, PlatformCore, PlatformDriver, TransactorStats,
+    Wake,
 };
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
-
-type RouteHandler = Rc<dyn Fn(&mut Simulation, OutboundMsg)>;
 
 type EncodeFn = Rc<dyn Fn(&dyn Any) -> Option<Vec<u8>>>;
 type ReplayFn = Rc<dyn Fn(&mut Runtime, Tag, &[u8]) -> bool>;
@@ -105,16 +107,7 @@ impl fmt::Display for PlatformRecovery {
 }
 
 struct PlatformInner {
-    name: String,
-    runtime: Runtime,
-    clock: VirtualClock,
-    outbox: Outbox,
-    routes: BTreeMap<u32, RouteHandler>,
-    costs: BTreeMap<ReactionId, LatencyModel>,
-    cost_rng: SimRng,
-    busy_until: Instant,
-    generation: u64,
-    started: bool,
+    core: PlatformCore,
     resigned: bool,
     federate: FederateId,
     binding: Binding,
@@ -137,13 +130,6 @@ struct PlatformInner {
     last_net_sent_at: Option<Instant>,
     /// True time at which the current grant wait began, if blocked.
     blocked_since: Option<Instant>,
-    /// True time of the currently armed wake-up, if one is pending.
-    ///
-    /// Re-arms that would not change the wake time are suppressed so
-    /// that grant arrivals never reshuffle same-instant event order —
-    /// that is what keeps centralized traces bit-identical to
-    /// decentralized ones.
-    armed_wake: Option<Instant>,
     /// Greatest tag processed so far (for the never-beyond-bound check).
     max_processed: Option<Tag>,
     /// Whether the federate was registered with physical inputs from
@@ -181,9 +167,8 @@ struct PlatformInner {
     /// the coordinator can drop stale-incarnation control echoes.
     incarnation: u32,
     /// Bumped on every crash. Scheduled outbox drains capture the epoch
-    /// at scheduling time and no-op on mismatch — the wake-up
-    /// `generation` cannot guard them because `arm` bumps it on every
-    /// re-arm.
+    /// at scheduling time and no-op on mismatch — the core's wake-up
+    /// generation cannot guard them because every re-arm bumps it.
     epoch: u64,
     /// Report of the most recent recovery, if any.
     last_recovery: Option<PlatformRecovery>,
@@ -195,11 +180,11 @@ impl PlatformInner {
     /// when the report repeats the last one or is suppressed. A
     /// `heartbeat` is sent unconditionally: liveness needs traffic.
     fn net_report(&mut self, now: Instant, heartbeat: bool) -> Option<CoordMsg> {
-        if !self.started || self.resigned || self.crashed {
+        if !self.core.started() || self.resigned || self.crashed {
             return None;
         }
-        let head = self.runtime.next_tag().map_or(TAG_NEVER, tag_to_wire);
-        let fence = tag_to_wire(Tag::at(self.clock.local_time(now)));
+        let head = self.core.runtime.next_tag().map_or(TAG_NEVER, tag_to_wire);
+        let fence = tag_to_wire(Tag::at(self.core.local_time(now)));
         if !heartbeat && (self.last_net == Some((head, fence)) || self.suppress_net(head)) {
             return None;
         }
@@ -227,6 +212,27 @@ impl PlatformInner {
             false
         }
     }
+
+    /// The durable log and the log bytes of an input for physical action
+    /// `key`, when a log is attached and the action has a codec. Encoded
+    /// before scheduling: the payload then moves into the queue.
+    fn encode_input(&self, key: u32, value: &dyn Any) -> Option<(EventLog, Vec<u8>)> {
+        let log = self.log.clone()?;
+        let bytes = (self.codecs.get(&key)?.encode)(value)?;
+        Some((log, bytes))
+    }
+}
+
+/// The exclusive tag bound a TAG or PTAG record grants (`None` for other
+/// kinds): a TAG whose fence lies beyond its tag opens a grant-ahead
+/// window to that horizon, and a provisional PTAG lets its own tag
+/// through.
+fn grant_bound(msg: &CoordMsg) -> Option<Tag> {
+    match msg.kind {
+        CoordKind::Tag => Some(wire_to_tag(msg.tag).max(wire_to_tag(msg.fence))),
+        CoordKind::Ptag => Some(tag_succ(wire_to_tag(msg.tag))),
+        _ => None,
+    }
 }
 
 /// A platform participating in a centrally coordinated federation.
@@ -239,10 +245,10 @@ impl fmt::Debug for CoordinatedPlatform {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let inner = self.0.borrow();
         f.debug_struct("CoordinatedPlatform")
-            .field("name", &inner.name)
+            .field("name", &inner.core.name())
             .field("federate", &inner.federate)
-            .field("started", &inner.started)
-            .field("granted", &inner.runtime.tag_bound())
+            .field("started", &inner.core.started())
+            .field("granted", &inner.core.runtime.tag_bound())
             .finish()
     }
 }
@@ -374,16 +380,7 @@ impl CoordinatedPlatform {
             None
         };
         let platform = CoordinatedPlatform(Rc::new(RefCell::new(PlatformInner {
-            name: name.into(),
-            runtime,
-            clock,
-            outbox,
-            routes: BTreeMap::new(),
-            costs: BTreeMap::new(),
-            cost_rng,
-            busy_until: Instant::EPOCH,
-            generation: 0,
-            started: false,
+            core: PlatformCore::new(name, runtime, clock, outbox, cost_rng),
             resigned: false,
             federate,
             binding: binding.clone(),
@@ -394,7 +391,6 @@ impl CoordinatedPlatform {
             last_net: None,
             last_net_sent_at: None,
             blocked_since: None,
-            armed_wake: None,
             max_processed: None,
             external,
             lattice,
@@ -423,7 +419,7 @@ impl CoordinatedPlatform {
     /// The platform's name.
     #[must_use]
     pub fn name(&self) -> String {
-        self.0.borrow().name.clone()
+        self.driver_name()
     }
 
     /// The federate id assigned by the RTI (for topology declarations).
@@ -447,38 +443,23 @@ impl CoordinatedPlatform {
     /// The currently granted exclusive tag bound.
     #[must_use]
     pub fn granted_bound(&self) -> Option<Tag> {
-        self.0.borrow().runtime.tag_bound()
-    }
-
-    /// Registers the interpreter for an outbox route.
-    pub fn register_route(
-        &self,
-        route: u32,
-        handler: impl Fn(&mut Simulation, OutboundMsg) + 'static,
-    ) {
-        self.0.borrow_mut().routes.insert(route, Rc::new(handler));
+        self.0.borrow().core.runtime.tag_bound()
     }
 
     /// Attaches a modelled compute cost to a reaction.
     pub fn set_reaction_cost(&self, reaction: ReactionId, model: LatencyModel) {
-        self.0.borrow_mut().costs.insert(reaction, model);
-    }
-
-    /// The platform's local clock reading at the current simulation time.
-    #[must_use]
-    pub fn local_now(&self, sim: &Simulation) -> Instant {
-        self.0.borrow().clock.local_time(sim.now())
+        PlatformDriver::set_reaction_cost(self, reaction, model);
     }
 
     /// Runs a closure with mutable access to the runtime.
     pub fn with_runtime<R>(&self, f: impl FnOnce(&mut Runtime) -> R) -> R {
-        f(&mut self.0.borrow_mut().runtime)
+        PlatformDriver::with_runtime(self, f)
     }
 
     /// Runtime statistics snapshot.
     #[must_use]
     pub fn stats(&self) -> RuntimeStats {
-        self.0.borrow().runtime.stats()
+        self.runtime_stats()
     }
 
     /// Attaches a durable event log. From `start` on, every granted
@@ -492,7 +473,7 @@ impl CoordinatedPlatform {
     /// `Started` anchor record first.
     pub fn attach_durable(&self, log: EventLog) {
         let mut inner = self.0.borrow_mut();
-        assert!(!inner.started, "attach the durable log before start");
+        assert!(!inner.core.started(), "attach the durable log before start");
         inner.log = Some(log);
     }
 
@@ -514,8 +495,8 @@ impl CoordinatedPlatform {
     }
 
     /// Registers a serialization codec for a physical action, so
-    /// payloads injected through [`CoordinatedPlatform::inject_at`] /
-    /// [`CoordinatedPlatform::inject_now`] are durably logged and can be
+    /// payloads injected through [`PlatformDriver::inject_at`] /
+    /// [`PlatformDriver::inject_now`] are durably logged and can be
     /// rebuilt during recovery replay.
     pub fn register_durable_input<T: Send + Sync + 'static>(
         &self,
@@ -560,21 +541,19 @@ impl CoordinatedPlatform {
     /// Panics if the platform has not started.
     pub fn crash(&self, sim: &Simulation) {
         let mut inner = self.0.borrow_mut();
-        assert!(inner.started, "crash before start");
+        assert!(inner.core.started(), "crash before start");
         if inner.crashed {
             return;
         }
         inner.crashed = true;
         inner.crashed_at = Some(sim.now());
-        inner.generation += 1; // strand every armed wake-up
+        // Strand every armed wake-up. In-flight outputs die with the
+        // process; replay decides which of them the wire actually saw.
+        inner.core.strand();
         inner.epoch += 1; // strand every scheduled outbox drain
-        inner.armed_wake = None;
         inner.blocked_since = None;
         inner.last_net = None;
         inner.last_net_sent_at = None;
-        // In-flight outputs die with the process; replay decides which
-        // of them the wire actually saw.
-        let _ = inner.outbox.drain();
         inner.observe.count("recovery/crashes", 1);
     }
 
@@ -610,17 +589,15 @@ impl CoordinatedPlatform {
                     _ => None,
                 })
                 .max();
-            inner.runtime = fresh;
+            inner.core.restart(fresh);
             let lane = Lane::Federate(inner.federate.0);
             let observe = inner.observe.clone();
-            inner.runtime.set_observe(observe, lane);
+            inner.core.runtime.set_observe(observe, lane);
             inner.incarnation += 1;
-            inner.busy_until = Instant::EPOCH;
             inner.dnet_flags = 0;
             inner.last_net = None;
             inner.last_net_sent_at = None;
             inner.blocked_since = None;
-            inner.armed_wake = None;
             inner.max_processed = None;
             inner.processed_since_snapshot = 0;
             let crashed_at = inner.crashed_at.take().unwrap_or_else(|| sim.now());
@@ -642,13 +619,13 @@ impl CoordinatedPlatform {
             for record in &records {
                 match record {
                     Record::Started { anchor } => {
-                        inner.runtime.start(Instant::from_nanos(*anchor));
+                        inner.core.runtime.start(Instant::from_nanos(*anchor));
                     }
                     Record::Input { key, tag, bytes } => {
                         let ok = inner
                             .codecs
                             .get(key)
-                            .is_some_and(|c| (c.replay)(&mut inner.runtime, *tag, bytes));
+                            .is_some_and(|c| (c.replay)(&mut inner.core.runtime, *tag, bytes));
                         if ok {
                             report.replayed_inputs += 1;
                         } else {
@@ -659,8 +636,8 @@ impl CoordinatedPlatform {
                         max_granted = Some(max_granted.map_or(*bound, |m| m.max(*bound)));
                     }
                     Record::Processed { tag, local } => {
-                        inner.runtime.set_tag_bound(tag_succ(*tag));
-                        match inner.runtime.step(Instant::from_nanos(*local)) {
+                        inner.core.runtime.set_tag_bound(tag_succ(*tag));
+                        match inner.core.runtime.step(Instant::from_nanos(*local)) {
                             StepOutcome::Processed(summary) if summary.tag == *tag => {
                                 report.replayed_tags += 1;
                                 inner.max_processed = Some(
@@ -674,7 +651,7 @@ impl CoordinatedPlatform {
                         // Outbound effects of the replayed step: swallow
                         // what the wire already saw, hold the rest for a
                         // post-replay re-send.
-                        for msg in inner.outbox.drain() {
+                        for msg in inner.core.take_outputs() {
                             if watermark.is_some_and(|w| wire_to_tag(msg.tag) <= w) {
                                 inner.stats.record_replay_suppressed();
                                 report.suppressed_sends += 1;
@@ -687,7 +664,7 @@ impl CoordinatedPlatform {
                 }
             }
             if let Some(bound) = max_granted {
-                inner.runtime.set_tag_bound(bound);
+                inner.core.runtime.set_tag_bound(bound);
                 report.restored_bound = Some(bound);
             }
             report.last_processed = inner.max_processed;
@@ -721,17 +698,7 @@ impl CoordinatedPlatform {
         };
         // Outputs the previous incarnation produced but never drained go
         // on the wire now — exactly once, after the suppression pass.
-        for msg in resend {
-            let handler = self.0.borrow().routes.get(&msg.route).cloned();
-            match handler {
-                Some(h) => h(sim, msg),
-                None => panic!(
-                    "outbox message for unregistered route {} on platform {}",
-                    msg.route,
-                    self.0.borrow().name
-                ),
-            }
-        }
+        self.dispatch(sim, resend);
         self.send_to_rti(sim, rejoin);
         self.report_status(sim);
         self.arm(sim);
@@ -743,45 +710,7 @@ impl CoordinatedPlatform {
     /// Starts the runtime, announces the federate to the RTI and arms the
     /// first wake-up.
     pub fn start(&self, sim: &mut Simulation) {
-        let (federate, lattice) = {
-            let mut inner = self.0.borrow_mut();
-            assert!(!inner.started, "platform already started");
-            inner.started = true;
-            // Capture the simulation's telemetry handle: the platform's
-            // own coordination metrics and the runtime's per-tag spans
-            // both land on this federate's lane.
-            inner.observe = sim.observe().clone();
-            let lane = Lane::Federate(inner.federate.0);
-            inner.observe.set_lane_name(lane, &inner.name);
-            let observe = inner.observe.clone();
-            inner.runtime.set_observe(observe, lane);
-            let local_now = inner.clock.local_time(sim.now());
-            inner.runtime.start(local_now);
-            if let Some(log) = inner.log.clone() {
-                // Anchor record: replay restarts the fresh runtime at the
-                // same local clock reading.
-                log.append(&Record::Started {
-                    anchor: local_now.as_nanos(),
-                });
-            }
-            (inner.federate, inner.lattice)
-        };
-        self.send_to_rti(sim, CoordMsg::new(CoordKind::Join, federate.0, TAG_NEVER));
-        // Declare the periodic lattice (control diet only): the solver
-        // may then leap this federate's stale head whole periods, and
-        // grant-ahead windows become eligible.
-        if let Some(g) = lattice {
-            if let Ok(nanos) = u64::try_from(g.as_nanos()) {
-                if nanos > 0 {
-                    self.send_to_rti(
-                        sim,
-                        CoordMsg::new(CoordKind::Period, federate.0, WireTag::new(nanos, 0)),
-                    );
-                }
-            }
-        }
-        self.report_status(sim);
-        self.arm(sim);
+        PlatformDriver::start(self, sim);
     }
 
     /// Starts a periodic control-plane heartbeat: every `interval` the
@@ -829,103 +758,9 @@ impl CoordinatedPlatform {
 
     /// Requests runtime shutdown at the given local time.
     pub fn stop_at_local(&self, sim: &mut Simulation, local: Instant) {
-        {
-            let mut inner = self.0.borrow_mut();
-            let _ = inner.runtime.stop_at(local);
-        }
+        let _ = self.0.borrow_mut().core.runtime.stop_at(local);
         self.report_status(sim);
         self.arm(sim);
-    }
-
-    /// Injects a payload into a physical action at an exact tag.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the runtime's safe-to-process or not-running errors.
-    pub fn inject_at<T: Send + Sync + 'static>(
-        &self,
-        sim: &mut Simulation,
-        action: &PhysicalAction<T>,
-        value: T,
-        tag: Tag,
-    ) -> Result<(), dear_core::RuntimeError> {
-        let result = {
-            let mut inner = self.0.borrow_mut();
-            let key = action.id().index() as u32;
-            // Encode before scheduling: the payload moves into the queue.
-            let encoded = if inner.log.is_some() {
-                inner.codecs.get(&key).and_then(|c| (c.encode)(&value))
-            } else {
-                None
-            };
-            if inner.crashed {
-                // Durable inbox: the frame reached a downed federate. It
-                // cannot be processed now, but logging it lets recovery
-                // replay rebuild the event at this exact tag.
-                return match (inner.log.clone(), encoded) {
-                    (Some(log), Some(bytes)) => {
-                        log.append(&Record::Input { key, tag, bytes });
-                        Ok(())
-                    }
-                    _ => Err(dear_core::RuntimeError::NotRunning),
-                };
-            }
-            let result = inner.runtime.schedule_physical_at(action, value, tag);
-            if result.is_ok() {
-                if let (Some(log), Some(bytes)) = (inner.log.clone(), encoded) {
-                    log.append(&Record::Input { key, tag, bytes });
-                }
-            }
-            result
-        };
-        if result.is_ok() {
-            self.report_status(sim);
-            self.arm(sim);
-        }
-        result
-    }
-
-    /// Injects a payload tagged with the local physical arrival time.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the runtime's not-running error.
-    pub fn inject_now<T: Send + Sync + 'static>(
-        &self,
-        sim: &mut Simulation,
-        action: &PhysicalAction<T>,
-        value: T,
-    ) -> Result<Tag, dear_core::RuntimeError> {
-        let result = {
-            let mut inner = self.0.borrow_mut();
-            if inner.crashed {
-                // Arrival-time tagging needs a live local clock; there is
-                // no exact tag to log, so the injection is refused rather
-                // than replayed at a made-up time.
-                return Err(dear_core::RuntimeError::NotRunning);
-            }
-            let key = action.id().index() as u32;
-            let encoded = if inner.log.is_some() {
-                inner.codecs.get(&key).and_then(|c| (c.encode)(&value))
-            } else {
-                None
-            };
-            let local_now = inner.clock.local_time(sim.now());
-            let result = inner.runtime.schedule_physical(action, value, local_now);
-            if let (Ok(tag), Some(log), Some(bytes)) = (&result, inner.log.clone(), encoded) {
-                log.append(&Record::Input {
-                    key,
-                    tag: *tag,
-                    bytes,
-                });
-            }
-            result
-        };
-        if result.is_ok() {
-            self.report_status(sim);
-            self.arm(sim);
-        }
-        result
     }
 
     fn send_to_rti(&self, sim: &mut Simulation, msg: CoordMsg) {
@@ -1000,152 +835,106 @@ impl CoordinatedPlatform {
         if msg.federate != inner.federate.0 {
             return false;
         }
+        let bound = grant_bound(msg);
+        if let (Some(bound), Some(log)) = (bound, &inner.log) {
+            log.append(&Record::Granted { bound });
+        }
         if inner.crashed {
             // Durable inbox for the control plane: grants addressed to a
             // downed federate land in its log so recovery can restore
             // the bound, but nothing moves until then.
-            if let Some(log) = inner.log.clone() {
-                match msg.kind {
-                    CoordKind::Tag => {
-                        let bound = wire_to_tag(msg.tag);
-                        let horizon = wire_to_tag(msg.fence);
-                        log.append(&Record::Granted {
-                            bound: if horizon > bound { horizon } else { bound },
-                        });
-                    }
-                    CoordKind::Ptag => {
-                        log.append(&Record::Granted {
-                            bound: tag_succ(wire_to_tag(msg.tag)),
-                        });
-                    }
-                    _ => {}
-                }
-            }
             return false;
         }
-        let applied = match msg.kind {
-            CoordKind::Tag => {
-                let bound = wire_to_tag(msg.tag);
-                let horizon = wire_to_tag(msg.fence);
-                if horizon > bound {
-                    // Grant-ahead window: free-run to the horizon with no
-                    // per-tag round-trips. The clock gate still paces
-                    // every tag to its physical time.
-                    inner.runtime.set_tag_bound(horizon);
-                    inner.stats.record_windowed_grant();
-                    let len = horizon.time - bound.time;
-                    inner.observe.record_value(
-                        "coord/window_len",
-                        u64::try_from(len.as_nanos()).unwrap_or(0),
-                    );
-                } else {
-                    inner.runtime.set_tag_bound(bound);
-                }
-                if let Some(log) = inner.log.clone() {
-                    log.append(&Record::Granted {
-                        bound: if horizon > bound { horizon } else { bound },
-                    });
-                }
-                inner.stats.record_grant_received(false);
-                true
-            }
-            CoordKind::Ptag => {
-                // Provisional: process up to and including the tag.
-                let bound = tag_succ(wire_to_tag(msg.tag));
-                inner.runtime.set_tag_bound(bound);
-                if let Some(log) = inner.log.clone() {
-                    log.append(&Record::Granted { bound });
-                }
-                inner.stats.record_grant_received(true);
-                true
-            }
-            CoordKind::Dnet => {
+        let Some(bound) = bound else {
+            if msg.kind == CoordKind::Dnet {
                 // Suppression-state push: remember which of our reports
                 // the coordinator has proven irrelevant downstream.
                 inner.dnet_flags = msg.fence.microstep;
                 inner
                     .observe
                     .record_value("coord/dnet_horizon_ns", msg.tag.nanos.min(i64::MAX as u64));
-                false // no bound change, nothing to re-arm
             }
-            _ => false,
+            return false; // no bound change, nothing to re-arm
         };
-        if applied {
-            inner.observe.count("coord/grants_received", 1);
-            // The NET→TAG round trip: report out, fixpoint at the
-            // coordinator, grant back. The first grant answering the
-            // outstanding NET takes the measurement.
-            if let Some(sent) = inner.last_net_sent_at.take() {
-                inner
-                    .observe
-                    .record_duration("coord/net_tag_rtt_ns", now - sent);
-            }
+        inner.core.runtime.set_tag_bound(bound);
+        let tag = wire_to_tag(msg.tag);
+        if msg.kind == CoordKind::Tag && bound > tag {
+            // Grant-ahead window: free-run to the horizon with no
+            // per-tag round-trips. The clock gate still paces every tag
+            // to its physical time.
+            inner.stats.record_windowed_grant();
+            let len = u64::try_from((bound.time - tag.time).as_nanos()).unwrap_or(0);
+            inner.observe.record_value("coord/window_len", len);
         }
-        applied
+        inner
+            .stats
+            .record_grant_received(msg.kind == CoordKind::Ptag);
+        inner.observe.count("coord/grants_received", 1);
+        // The NET→TAG round trip: report out, fixpoint at the coordinator,
+        // grant back. The first grant answering the outstanding NET takes
+        // the measurement.
+        if let Some(sent) = inner.last_net_sent_at.take() {
+            inner
+                .observe
+                .record_duration("coord/net_tag_rtt_ns", now - sent);
+        }
+        true
     }
 
     /// Schedules the next wake-up for the earliest *granted* pending tag.
     fn arm(&self, sim: &mut Simulation) {
         let (wake_at, generation) = {
             let mut inner = self.0.borrow_mut();
-            if !inner.started || inner.crashed || !inner.runtime.is_running() {
+            if inner.crashed {
                 return;
             }
-            if inner.runtime.next_tag().is_none() {
-                return;
-            }
-            let Some(tag) = inner.runtime.next_releasable_tag() else {
-                // Head exists but lies beyond the granted bound: wait for
-                // the RTI. The grant handler re-arms.
-                inner.armed_wake = None;
-                if inner.blocked_since.is_none() {
-                    inner.blocked_since = Some(sim.now());
+            let now = sim.now();
+            match inner.core.arm(now) {
+                Wake::At(at, generation) => {
+                    if let Some(since) = inner.blocked_since.take() {
+                        inner.stats.add_grant_wait(now - since);
+                        inner
+                            .observe
+                            .record_duration("coord/grant_wait_ns", now - since);
+                        inner.observe.span(
+                            Lane::Federate(inner.federate.0),
+                            "grant-wait",
+                            since,
+                            now,
+                        );
+                    }
+                    (at, generation)
                 }
-                return;
-            };
-            if let Some(since) = inner.blocked_since.take() {
-                let now = sim.now();
-                inner.stats.add_grant_wait(now - since);
-                inner
-                    .observe
-                    .record_duration("coord/grant_wait_ns", now - since);
-                inner
-                    .observe
-                    .span(Lane::Federate(inner.federate.0), "grant-wait", since, now);
+                Wake::Blocked => {
+                    // Head lies beyond the granted bound: wait for the
+                    // RTI. The grant handler re-arms.
+                    inner.blocked_since.get_or_insert(now);
+                    return;
+                }
+                Wake::Idle => return,
             }
-            let tag_true = inner.clock.true_time_at_local(tag.time);
-            let wake = tag_true.max(inner.busy_until).max(sim.now());
-            if inner.armed_wake == Some(wake) {
-                // A wake-up for this instant is already pending; keep its
-                // calendar position.
-                return;
-            }
-            inner.armed_wake = Some(wake);
-            inner.generation += 1;
-            (wake, inner.generation)
         };
         let platform = self.clone();
         sim.schedule_at(wake_at, move |sim| platform.on_wake(sim, generation));
     }
 
     fn on_wake(&self, sim: &mut Simulation, generation: u64) {
-        {
+        let (step, ltc) = {
             let mut inner = self.0.borrow_mut();
-            if generation != inner.generation || !inner.started || inner.crashed {
+            if !inner.core.take_wake(generation) {
                 return;
             }
-            inner.armed_wake = None;
-        }
-        let (outcome, drain_at, ltc) = {
-            let mut inner = self.0.borrow_mut();
-            let local_now = inner.clock.local_time(sim.now());
-            let outcome = inner.runtime.step(local_now);
-            let mut drain_at = sim.now();
+            let step = inner.core.step(sim.now());
             let mut ltc = None;
-            if let StepOutcome::Processed(summary) = outcome {
+            if let StepOutcome::Processed(summary) = step.outcome {
                 // The acceptance invariant: a processed tag must lie
                 // within the granted bound (exclusive).
-                if inner.runtime.tag_bound().is_some_and(|b| summary.tag >= b) {
+                if inner
+                    .core
+                    .runtime
+                    .tag_bound()
+                    .is_some_and(|b| summary.tag >= b)
+                {
                     inner.stats.record_bound_breach();
                 }
                 inner.max_processed = Some(
@@ -1158,35 +947,24 @@ impl CoordinatedPlatform {
                     // into `step` — deadline classification depends on it.
                     log.append(&Record::Processed {
                         tag: summary.tag,
-                        local: local_now.as_nanos(),
+                        local: step.local.as_nanos(),
                     });
                     inner.processed_since_snapshot += 1;
                     if inner.processed_since_snapshot >= inner.snapshot_every {
                         log.append(&Record::Snapshot {
                             seq: 0,
                             last_processed: inner.max_processed,
-                            granted: inner.runtime.tag_bound(),
+                            granted: inner.core.runtime.tag_bound(),
                         });
                         inner.processed_since_snapshot = 0;
                     }
                 }
-                let executed: Vec<ReactionId> = inner.runtime.executed_at_last_tag().to_vec();
-                let mut total = dear_time::Duration::ZERO;
-                for rid in executed {
-                    if let Some(model) = inner.costs.get(&rid) {
-                        let model = model.clone();
-                        total += model.sample(&mut inner.cost_rng);
-                    }
-                }
-                let busy_from = inner.busy_until.max(sim.now());
-                inner.busy_until = busy_from + total;
-                drain_at = inner.busy_until;
-                if total > dear_time::Duration::ZERO {
+                if step.busy_until > step.busy_from {
                     inner.observe.span_tagged(
                         Lane::Federate(inner.federate.0),
                         "compute",
-                        busy_from,
-                        inner.busy_until,
+                        step.busy_from,
+                        step.busy_until,
                         summary.tag.as_logical(),
                     );
                 }
@@ -1217,7 +995,7 @@ impl CoordinatedPlatform {
                     inner.observe.count("coord/sent/ltc", 1);
                 }
             }
-            (outcome, drain_at, ltc)
+            (step, ltc)
         };
         if let Some(msg) = ltc {
             if self.0.borrow().batched {
@@ -1229,15 +1007,15 @@ impl CoordinatedPlatform {
                 self.send_to_rti(sim, msg);
             }
         }
-        match outcome {
+        match step.outcome {
             StepOutcome::Processed(_) => {
-                if drain_at > sim.now() {
+                if step.busy_until > sim.now() {
                     let platform = self.clone();
                     // The epoch guard strands this drain if the federate
                     // crashes first: recovery replay then decides whether
                     // the batch goes on the wire.
                     let epoch = self.0.borrow().epoch;
-                    sim.schedule_at(drain_at, move |sim| {
+                    sim.schedule_at(step.busy_until, move |sim| {
                         if platform.0.borrow().epoch == epoch {
                             platform.drain_outbox(sim);
                         }
@@ -1276,10 +1054,7 @@ impl CoordinatedPlatform {
     }
 
     fn drain_outbox(&self, sim: &mut Simulation) {
-        let msgs = {
-            let inner = self.0.borrow();
-            inner.outbox.drain()
-        };
+        let msgs = self.0.borrow().core.take_outputs();
         if msgs.is_empty() {
             return;
         }
@@ -1292,39 +1067,52 @@ impl CoordinatedPlatform {
                 log.append(&Record::Drained { tag: max });
             }
         }
-        for msg in msgs {
-            let handler = self.0.borrow().routes.get(&msg.route).cloned();
-            match handler {
-                Some(h) => h(sim, msg),
-                None => panic!(
-                    "outbox message for unregistered route {} on platform {}",
-                    msg.route,
-                    self.0.borrow().name
-                ),
-            }
-        }
+        self.dispatch(sim, msgs);
     }
 }
 
 impl PlatformDriver for CoordinatedPlatform {
-    fn driver_name(&self) -> String {
-        self.name()
-    }
-
-    fn register_route(&self, route: u32, handler: impl Fn(&mut Simulation, OutboundMsg) + 'static) {
-        CoordinatedPlatform::register_route(self, route, handler);
-    }
-
-    fn set_reaction_cost(&self, reaction: ReactionId, model: LatencyModel) {
-        CoordinatedPlatform::set_reaction_cost(self, reaction, model);
-    }
-
-    fn with_runtime<R>(&self, f: impl FnOnce(&mut Runtime) -> R) -> R {
-        CoordinatedPlatform::with_runtime(self, f)
+    fn with_core<R>(&self, f: impl FnOnce(&mut PlatformCore) -> R) -> R {
+        f(&mut self.0.borrow_mut().core)
     }
 
     fn start(&self, sim: &mut Simulation) {
-        CoordinatedPlatform::start(self, sim);
+        let (federate, lattice) = {
+            let mut inner = self.0.borrow_mut();
+            // Capture the simulation's telemetry handle: the platform's
+            // own coordination metrics and the runtime's per-tag spans
+            // both land on this federate's lane.
+            inner.observe = sim.observe().clone();
+            let lane = Lane::Federate(inner.federate.0);
+            inner.observe.set_lane_name(lane, inner.core.name());
+            let observe = inner.observe.clone();
+            inner.core.runtime.set_observe(observe, lane);
+            let local_now = inner.core.start(sim.now());
+            if let Some(log) = &inner.log {
+                // Anchor record: replay restarts the fresh runtime at the
+                // same local clock reading.
+                log.append(&Record::Started {
+                    anchor: local_now.as_nanos(),
+                });
+            }
+            (inner.federate, inner.lattice)
+        };
+        self.send_to_rti(sim, CoordMsg::new(CoordKind::Join, federate.0, TAG_NEVER));
+        // Declare the periodic lattice (control diet only): the solver
+        // may then leap this federate's stale head whole periods, and
+        // grant-ahead windows become eligible.
+        if let Some(g) = lattice {
+            if let Ok(nanos) = u64::try_from(g.as_nanos()) {
+                if nanos > 0 {
+                    self.send_to_rti(
+                        sim,
+                        CoordMsg::new(CoordKind::Period, federate.0, WireTag::new(nanos, 0)),
+                    );
+                }
+            }
+        }
+        self.report_status(sim);
+        self.arm(sim);
     }
 
     fn inject_at<T: Send + Sync + 'static>(
@@ -1334,7 +1122,29 @@ impl PlatformDriver for CoordinatedPlatform {
         value: T,
         tag: Tag,
     ) -> Result<(), dear_core::RuntimeError> {
-        CoordinatedPlatform::inject_at(self, sim, action, value, tag)
+        let result = {
+            let mut inner = self.0.borrow_mut();
+            let key = action.id().index() as u32;
+            let logged = inner.encode_input(key, &value);
+            if inner.crashed {
+                // Durable inbox: the frame reached a downed federate. It
+                // cannot be processed now, but logging it lets recovery
+                // replay rebuild the event at this exact tag.
+                let (log, bytes) = logged.ok_or(dear_core::RuntimeError::NotRunning)?;
+                log.append(&Record::Input { key, tag, bytes });
+                return Ok(());
+            }
+            let result = inner.core.runtime.schedule_physical_at(action, value, tag);
+            if let (Ok(()), Some((log, bytes))) = (&result, logged) {
+                log.append(&Record::Input { key, tag, bytes });
+            }
+            result
+        };
+        if result.is_ok() {
+            self.report_status(sim);
+            self.arm(sim);
+        }
+        result
     }
 
     fn inject_now<T: Send + Sync + 'static>(
@@ -1343,7 +1153,35 @@ impl PlatformDriver for CoordinatedPlatform {
         action: &PhysicalAction<T>,
         value: T,
     ) -> Result<Tag, dear_core::RuntimeError> {
-        CoordinatedPlatform::inject_now(self, sim, action, value)
+        let result = {
+            let mut inner = self.0.borrow_mut();
+            if inner.crashed {
+                // Arrival-time tagging needs a live local clock; there is
+                // no exact tag to log, so the injection is refused rather
+                // than replayed at a made-up time.
+                return Err(dear_core::RuntimeError::NotRunning);
+            }
+            let key = action.id().index() as u32;
+            let logged = inner.encode_input(key, &value);
+            let local_now = inner.core.local_time(sim.now());
+            let result = inner
+                .core
+                .runtime
+                .schedule_physical(action, value, local_now);
+            if let (Ok(tag), Some((log, bytes))) = (&result, logged) {
+                log.append(&Record::Input {
+                    key,
+                    tag: *tag,
+                    bytes,
+                });
+            }
+            result
+        };
+        if result.is_ok() {
+            self.report_status(sim);
+            self.arm(sim);
+        }
+        result
     }
 }
 

@@ -543,3 +543,116 @@ fn unconnected_topology_blocks_consumer() {
     );
     assert!(platform.stats().bound_deferrals > 0 || platform.stats().processed_tags == 1);
 }
+
+/// Stopping a federate releases its downstream for good: the producer
+/// sends on every 10 ms tick and is stopped at local 55 ms, so the
+/// consumer sees exactly the five ticks before the stop, its bound
+/// opens to the unbounded sentinel, and nothing stays scheduled. (The
+/// release rides the producer's last NET, whose queue head is "never":
+/// the shutdown tag is a processed step, and a stopped runtime is not
+/// re-armed.)
+#[test]
+fn stopped_producer_releases_consumer() {
+    let deadline = Duration::from_millis(2);
+    let cfg = DearConfig::new(Duration::from_millis(1), Duration::ZERO);
+    let edge_delay = deadline + cfg.stp_offset();
+
+    let mut sim = Simulation::new(3);
+    let net = NetworkHandle::new(
+        LinkConfig::ideal(Duration::from_micros(100)),
+        sim.fork_rng("net"),
+    );
+    let sd = SdRegistry::new();
+    let rti = Rti::new(&mut sim, &net, &sd, NodeId(0));
+
+    let producer = {
+        let outbox = Outbox::new();
+        let mut b = ProgramBuilder::new();
+        let publish = ServerEventTransactor::declare(&mut b, &outbox, "ping", deadline);
+        {
+            let mut logic = b.reactor("producer", 0u8);
+            let out = logic.output::<dear_someip::FrameBuf>("out");
+            let period = Duration::from_millis(10);
+            let t = logic.timer("emit", period, Some(period));
+            logic
+                .reaction("emit")
+                .triggered_by(t)
+                .effects(out)
+                .body(move |n: &mut u8, ctx| {
+                    *n += 1;
+                    ctx.set(out, vec![*n].into());
+                });
+            logic.finish();
+            b.connect(out, publish.event).unwrap();
+        }
+        let binding = Binding::new(&net, &sd, NodeId(1), 0x11);
+        binding.offer(
+            &mut sim,
+            ServiceInstance::new(SERVICE_PING, INSTANCE),
+            Duration::from_secs(1 << 20),
+        );
+        let platform = CoordinatedPlatform::new(
+            "producer",
+            Runtime::new(b.build().unwrap()),
+            VirtualClock::ideal(),
+            Outbox::clone(&outbox),
+            sim.fork_rng("producer-costs"),
+            &rti,
+            &binding,
+            false,
+        );
+        publish.bind(&platform, &binding, spec(SERVICE_PING));
+        platform
+    };
+
+    let seen: Arc<Mutex<Vec<(Tag, u8)>>> = Arc::new(Mutex::new(Vec::new()));
+    let consumer = {
+        let mut b = ProgramBuilder::new();
+        let input = ClientEventTransactor::declare(&mut b, "ping");
+        {
+            let mut logic = b.reactor("consumer", ());
+            let sink = seen.clone();
+            logic
+                .reaction("collect")
+                .triggered_by(input.event)
+                .body(move |_, ctx| {
+                    let v = ctx.get(input.event).unwrap()[0];
+                    sink.lock().unwrap().push((ctx.tag(), v));
+                });
+            logic.finish();
+        }
+        let binding = Binding::new(&net, &sd, NodeId(2), 0x22);
+        let platform = CoordinatedPlatform::new(
+            "consumer",
+            Runtime::new(b.build().unwrap()),
+            VirtualClock::ideal(),
+            Outbox::new(),
+            sim.fork_rng("consumer-costs"),
+            &rti,
+            &binding,
+            false,
+        );
+        input.bind(&platform, &binding, spec(SERVICE_PING), cfg);
+        platform
+    };
+    rti.connect(producer.federate_id(), consumer.federate_id(), edge_delay);
+
+    producer.start(&mut sim);
+    consumer.start(&mut sim);
+    producer.stop_at_local(&mut sim, Instant::from_millis(55));
+    sim.run_to_completion();
+
+    let seen = seen.lock().unwrap().clone();
+    let expected: Vec<(Tag, u8)> = (1..=5u8)
+        .map(|n| {
+            let send = Instant::from_millis(10 * u64::from(n));
+            (Tag::at(send + edge_delay), n)
+        })
+        .collect();
+    assert_eq!(
+        seen, expected,
+        "the five ticks before the stop, each at t + D + L + E"
+    );
+    assert_eq!(consumer.granted_bound(), Some(TAG_MAX));
+    assert_eq!(sim.stats().pending_events, 0, "{}", sim.stats());
+}

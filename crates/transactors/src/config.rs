@@ -55,6 +55,16 @@ impl DearConfig {
     pub fn stp_offset(&self) -> Duration {
         self.latency_bound + self.clock_error
     }
+
+    /// The tag at which a message carrying wire tag `wire` is released on
+    /// the receiving platform: `wire + L + E`. `None` when that lies
+    /// beyond the representable time range; callers drop such a message
+    /// and count it as an STP violation, like any unschedulable tag.
+    pub(crate) fn release_tag(&self, wire: WireTag) -> Option<Tag> {
+        let base = wire_to_tag(wire);
+        let time = base.time.checked_add(self.stp_offset())?;
+        Some(Tag::new(time, base.microstep))
+    }
 }
 
 /// Converts a reactor tag to its wire representation.

@@ -21,11 +21,13 @@
 
 use crate::config::{DearConfig, UntaggedPolicy};
 use crate::outbox::OutboundMsg;
+use crate::platform::PlatformCore;
 use crate::stats::TransactorStats;
 use dear_core::{PhysicalAction, ReactionId, Runtime, RuntimeError, RuntimeStats, Tag};
 use dear_sim::{LatencyModel, Simulation};
 use dear_someip::{FrameBuf, WireTag};
 use std::fmt;
+use std::rc::Rc;
 
 /// Which coordination strategy a scenario runs under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -48,26 +50,52 @@ impl fmt::Display for Coordination {
 
 /// A platform driver a transactor can bind to.
 ///
-/// Implementors own a reactor [`Runtime`] plus the platform's clock and
-/// outbox, and decide *when* the runtime may process tags (that is the
-/// coordination strategy). Handles are cheap to clone and shared.
+/// Implementors own a [`PlatformCore`] — the reactor [`Runtime`], the
+/// platform's clock and outbox, and the shared scheduling rule — and
+/// decide *when* the runtime may process tags (that is the coordination
+/// strategy). Handles are cheap to clone and shared.
 pub trait PlatformDriver: Clone + 'static {
+    /// Runs a closure with mutable access to the platform's scheduling
+    /// core.
+    fn with_core<R>(&self, f: impl FnOnce(&mut PlatformCore) -> R) -> R;
+
     /// The platform's name.
-    fn driver_name(&self) -> String;
+    fn driver_name(&self) -> String {
+        self.with_core(|core| core.name().to_owned())
+    }
 
     /// Registers the interpreter for an outbox route.
-    fn register_route(&self, route: u32, handler: impl Fn(&mut Simulation, OutboundMsg) + 'static);
+    fn register_route(&self, route: u32, handler: impl Fn(&mut Simulation, OutboundMsg) + 'static) {
+        self.with_core(|core| core.register_route(route, Rc::new(handler)));
+    }
 
-    /// Attaches a modelled compute cost to a reaction.
-    fn set_reaction_cost(&self, reaction: ReactionId, model: LatencyModel);
+    /// Attaches a modelled compute cost to a reaction: each execution of
+    /// the reaction occupies the platform's processor for a sampled
+    /// duration, delaying subsequent tag processing — which is what makes
+    /// deadlines meaningful in simulation.
+    fn set_reaction_cost(&self, reaction: ReactionId, model: LatencyModel) {
+        self.with_core(|core| core.set_reaction_cost(reaction, model));
+    }
 
     /// Runs a closure with mutable access to the runtime (tracing,
     /// workers, statistics).
-    fn with_runtime<R>(&self, f: impl FnOnce(&mut Runtime) -> R) -> R;
+    fn with_runtime<R>(&self, f: impl FnOnce(&mut Runtime) -> R) -> R {
+        self.with_core(|core| f(&mut core.runtime))
+    }
 
     /// Runtime statistics snapshot.
     fn runtime_stats(&self) -> RuntimeStats {
         self.with_runtime(|rt| rt.stats())
+    }
+
+    /// Hands outbound messages to their registered route handlers, in
+    /// order. The core is not borrowed while a handler runs, so handlers
+    /// may re-enter the platform.
+    fn dispatch(&self, sim: &mut Simulation, msgs: Vec<OutboundMsg>) {
+        for msg in msgs {
+            let handler = self.with_core(|core| core.route(msg.route));
+            handler(sim, msg);
+        }
     }
 
     /// Starts the runtime and arms the first wake-up.
@@ -101,7 +129,8 @@ pub trait PlatformDriver: Clone + 'static {
     ) -> Result<Tag, RuntimeError>;
 
     /// Delivers a received message to a physical action according to the
-    /// DEAR rules: tagged messages are released at `wire_tag + L + E`;
+    /// DEAR rules: tagged messages are released at `wire_tag + L + E`
+    /// (dropped as an STP violation when that tag is unrepresentable);
     /// untagged messages follow the configured [`UntaggedPolicy`].
     fn deliver(
         &self,
@@ -114,9 +143,10 @@ pub trait PlatformDriver: Clone + 'static {
     ) {
         match wire_tag {
             Some(w) => {
-                let base = crate::config::wire_to_tag(w);
-                let release = Tag::new(base.time + cfg.stp_offset(), base.microstep);
-                if self.inject_at(sim, action, payload, release).is_err() {
+                let injected = cfg
+                    .release_tag(w)
+                    .is_some_and(|release| self.inject_at(sim, action, payload, release).is_ok());
+                if !injected {
                     stats.record_stp_violation();
                 }
             }

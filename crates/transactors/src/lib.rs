@@ -55,5 +55,5 @@ pub use failover::FailoverBinding;
 pub use field::{FieldClientTransactor, FieldServerTransactor};
 pub use method::{ClientMethodTransactor, ServerMethodTransactor};
 pub use outbox::{OutboundMsg, Outbox, OutboxSender};
-pub use platform::FederatedPlatform;
+pub use platform::{CoreStep, FederatedPlatform, PlatformCore, Wake};
 pub use stats::TransactorStats;

@@ -19,7 +19,7 @@ use crate::config::{tag_to_wire, DearConfig, MethodSpec, UntaggedPolicy};
 use crate::driver::PlatformDriver;
 use crate::outbox::{OutboundMsg, Outbox, OutboxSender};
 use crate::stats::TransactorStats;
-use dear_core::{PhysicalAction, Port, ProgramBuilder, ReactionCtx, Tag};
+use dear_core::{PhysicalAction, Port, ProgramBuilder, ReactionCtx};
 use dear_someip::{Binding, FrameBuf, Responder, ReturnCode};
 use dear_time::Duration;
 use std::cell::RefCell;
@@ -231,14 +231,16 @@ impl ServerMethodTransactor {
             let wire_tag = binding_in.take_incoming_tag().or(req.tag);
             match wire_tag {
                 Some(w) => {
-                    let base = crate::config::wire_to_tag(w);
-                    let release = Tag::new(base.time + cfg.stp_offset(), base.microstep);
-                    match platform_in.inject_at(sim, &action, req.payload, release) {
-                        Ok(()) => pending_in.borrow_mut().push_back(responder),
-                        Err(_) => {
-                            stats_in.record_stp_violation();
-                            responder.reply_error(sim, ReturnCode::NotOk);
-                        }
+                    let injected = cfg.release_tag(w).is_some_and(|release| {
+                        platform_in
+                            .inject_at(sim, &action, req.payload, release)
+                            .is_ok()
+                    });
+                    if injected {
+                        pending_in.borrow_mut().push_back(responder);
+                    } else {
+                        stats_in.record_stp_violation();
+                        responder.reply_error(sim, ReturnCode::NotOk);
                     }
                 }
                 None => match cfg.untagged {
