@@ -25,7 +25,9 @@ use crate::nondet::{nodes, services};
 use crate::types::{BrakeDecision, Frame, LaneBox, VehicleList};
 use dear_core::{Port, ProgramBuilder, Reaction, ReactionCtx, ReactionId, Reactor, Runtime};
 use dear_federation::{CoordinatedPlatform, EventLog, PlatformRecovery, Rti};
-use dear_sim::{FaultPlan, LinkConfig, NetworkHandle, SimRng, Simulation, VirtualClock};
+use dear_sim::{
+    FaultPlan, LatencyModel, LinkConfig, NetworkHandle, NodeId, SimRng, Simulation, VirtualClock,
+};
 use dear_someip::{Binding, FrameBuf, SdRegistry, ServiceInstance};
 use dear_time::{Duration, Instant};
 use dear_transactors::{
@@ -149,9 +151,14 @@ pub struct RecoveryParams {
     /// traffic in flight).
     pub crash_after_frame: u64,
     /// How long the node stays dead before the recovery driver restarts
-    /// it. Must stay well inside the CV deadline plus `L` (25 + 5 ms by
-    /// default), or catch-up resends arrive after their release tags
-    /// and trip the safe-to-process check downstream.
+    /// it; the restart must fall before the run's horizon (see
+    /// [`run_det`]). An outage within the CV deadline plus `L` (25 + 5 ms
+    /// by default) is invisible: the stage traces equal a never-crashed
+    /// run's. A longer one can make the replacement catch up so late
+    /// that some reactions miss their deadlines, and then the stage
+    /// traces diverge. The release tags stay logical, though: no
+    /// safe-to-process violation, and the same decisions at the same
+    /// logical end-to-end latency.
     pub dead_for: Duration,
     /// Snapshot cadence of the durable log (processed tags between
     /// snapshot records).
@@ -486,37 +493,227 @@ impl EbaLogic {
     }
 }
 
+/// What the stage logic reports back to the run: Computer Vision's
+/// tag-alignment errors and the EBA's decisions.
+#[derive(Clone, Default)]
+struct Sinks {
+    mismatches: Arc<Mutex<u64>>,
+    decisions: DecisionSink,
+}
+
+/// Declares a stage's logic reactor between its input and output
+/// transactors (given the stage deadline) and returns the path of its
+/// reaction.
+type DeclareLogic = fn(
+    &mut ProgramBuilder,
+    &Sinks,
+    &[ClientEventTransactor],
+    &[ServerEventTransactor],
+    Duration,
+) -> &'static str;
+
+/// One pipeline stage: a reactor program in its own process, with a
+/// client event transactor per input, a server event transactor per
+/// output, and one logic reactor between them.
+struct StageSpec {
+    name: &'static str,
+    node: NodeId,
+    /// SOME/IP client id of the stage's data binding.
+    client_id: u16,
+    /// Label of the stage's reaction-cost RNG stream.
+    cost_rng: &'static str,
+    /// The service every output publishes on (`None` for a sink).
+    offers: Option<u16>,
+    /// `(transactor, subscribed service, event)` per input.
+    inputs: &'static [(&'static str, u16, u16)],
+    /// `(transactor, event)` per output.
+    outputs: &'static [(&'static str, u16)],
+    /// The outputs' sender deadline (a sink's: its reaction deadline).
+    deadline: fn(&StageDeadlines) -> Duration,
+    /// Compute-cost model of the logic reaction.
+    timing: fn(&StageTimings) -> LatencyModel,
+    logic: DeclareLogic,
+}
+
+/// Whether `service` comes from outside the federation (no stage offers
+/// it): its frames arrive untagged and are tagged at reception.
+fn external(service: u16) -> bool {
+    STAGES.iter().all(|s| s.offers != Some(service))
+}
+
+impl StageSpec {
+    /// Whether `down` subscribes to this stage's service.
+    fn feeds(&self, down: &StageSpec) -> bool {
+        down.inputs.iter().any(|&(_, s, _)| self.offers == Some(s))
+    }
+}
+
+/// The stage a crash-recovery scenario kills and restarts (Computer
+/// Vision).
+const RECOVERED: usize = 2;
+
+/// The pipeline of Fig. 4, in construction order. The RTI topology,
+/// the external (sensor) stage and the recovery rebuild all derive from
+/// this table.
+static STAGES: [StageSpec; 4] = [
+    StageSpec {
+        name: "adapter",
+        node: nodes::ADAPTER,
+        client_id: 0x20,
+        cost_rng: "adapter-costs",
+        offers: Some(services::ADAPTER),
+        inputs: &[("camera", services::VIDEO, services::EVENT_MAIN)],
+        outputs: &[("frames", services::EVENT_MAIN)],
+        deadline: |d| d.adapter,
+        timing: |t| t.adapter.clone(),
+        logic: |b, _, inputs, outputs, _| {
+            let ext = AdapterLogicExternals {
+                camera: inputs[0].event,
+            };
+            let logic: AdapterLogic = b.declare_ext("adapter_logic", (), ext);
+            b.connect(logic.frame, outputs[0].event).unwrap();
+            "adapter_logic.adapt"
+        },
+    },
+    StageSpec {
+        name: "preprocessing",
+        node: nodes::PREPROCESSING,
+        client_id: 0x30,
+        cost_rng: "preproc-costs",
+        offers: Some(services::PREPROCESSING),
+        inputs: &[("frames", services::ADAPTER, services::EVENT_MAIN)],
+        outputs: &[
+            ("lane", services::EVENT_MAIN),
+            ("frame_fwd", services::EVENT_AUX),
+        ],
+        deadline: |d| d.preprocessing,
+        timing: |t| t.preprocessing.clone(),
+        logic: |b, _, inputs, outputs, _| {
+            let ext = PreprocessingLogicExternals {
+                frames: inputs[0].event,
+            };
+            let logic: PreprocessingLogic = b.declare_ext("preprocessing_logic", (), ext);
+            b.connect(logic.lane, outputs[0].event).unwrap();
+            b.connect(logic.frame, outputs[1].event).unwrap();
+            "preprocessing_logic.preprocess"
+        },
+    },
+    StageSpec {
+        name: "computer_vision",
+        node: nodes::COMPUTER_VISION,
+        client_id: 0x40,
+        cost_rng: "cv-costs",
+        offers: Some(services::COMPUTER_VISION),
+        inputs: &[
+            ("lane", services::PREPROCESSING, services::EVENT_MAIN),
+            ("frame_fwd", services::PREPROCESSING, services::EVENT_AUX),
+        ],
+        outputs: &[("vehicles", services::EVENT_MAIN)],
+        deadline: |d| d.computer_vision,
+        timing: |t| t.computer_vision.clone(),
+        logic: |b, sinks, inputs, outputs, _| {
+            let ext = ComputerVisionLogicExternals {
+                lane: inputs[0].event,
+                frame: inputs[1].event,
+            };
+            let logic: ComputerVisionLogic =
+                b.declare_ext("computer_vision_logic", sinks.mismatches.clone(), ext);
+            b.connect(logic.vehicles, outputs[0].event).unwrap();
+            "computer_vision_logic.detect"
+        },
+    },
+    StageSpec {
+        name: "eba",
+        node: nodes::EBA,
+        client_id: 0x50,
+        cost_rng: "eba-costs",
+        offers: None,
+        inputs: &[("vehicles", services::COMPUTER_VISION, services::EVENT_MAIN)],
+        outputs: &[],
+        deadline: |d| d.eba,
+        timing: |t| t.eba.clone(),
+        logic: |b, sinks, inputs, _, deadline| {
+            let ext = EbaLogicExternals {
+                vehicles: inputs[0].event,
+                deadline,
+            };
+            let _: EbaLogic = b.declare_ext("eba_logic", sinks.decisions.clone(), ext);
+            "eba_logic.decide"
+        },
+    },
+];
+
+/// A stage's reactor program, built from its [`STAGES`] entry.
+struct StageProgram {
+    runtime: Runtime,
+    inputs: Vec<ClientEventTransactor>,
+    outputs: Vec<ServerEventTransactor>,
+    /// The logic reaction, the one with a compute-cost model.
+    reaction: ReactionId,
+}
+
+/// Builds `stage`'s program: its input transactors, its output
+/// transactors, then its logic. A crash-recovery restart rebuilds the
+/// replacement incarnation with the same call: action and reaction ids
+/// are structural, so the dead incarnation's input codecs, route
+/// handlers and cost models apply unchanged to the rebuilt program.
+fn build_program(
+    stage: &StageSpec,
+    outbox: &Outbox,
+    deadline: Duration,
+    sinks: &Sinks,
+) -> StageProgram {
+    let mut b = ProgramBuilder::new();
+    let inputs: Vec<_> = stage
+        .inputs
+        .iter()
+        .map(|&(name, _, _)| ClientEventTransactor::declare(&mut b, name))
+        .collect();
+    let outputs: Vec<_> = stage
+        .outputs
+        .iter()
+        .map(|&(name, _)| ServerEventTransactor::declare(&mut b, outbox, name, deadline))
+        .collect();
+    let reaction = (stage.logic)(&mut b, sinks, &inputs, &outputs, deadline);
+    let program = b.build().expect("stage program");
+    StageProgram {
+        reaction: program.find_reaction(reaction).expect("logic reaction"),
+        runtime: Runtime::new(program),
+        inputs,
+        outputs,
+    }
+}
+
 /// One coordination strategy's way of constructing stage drivers.
 trait DriverFactory {
     type Driver: PlatformDriver;
 
-    /// Called once the simulation exists, before any stage is built.
-    fn init(&mut self, sim: &mut Simulation);
-
     /// Builds the driver for one pipeline stage.
-    #[allow(clippy::too_many_arguments)]
     fn make(
         &mut self,
-        sim: &mut Simulation,
-        name: &'static str,
+        stage: &StageSpec,
         runtime: Runtime,
         clock: VirtualClock,
         outbox: Outbox,
         cost_rng: SimRng,
-        data_binding: &Binding,
     ) -> Self::Driver;
 
     /// Called after every stage exists (topology declarations).
-    fn finish(&mut self, sim: &mut Simulation);
+    fn finish(&self) {}
 
     /// Coordination-layer report at the end of the run.
-    fn report(&self) -> CoordReport;
+    fn report(&self) -> CoordReport {
+        CoordReport {
+            within_bound: true,
+            ..CoordReport::default()
+        }
+    }
 
-    /// The coordinated platform built for stage `name`, when the
+    /// The coordinated platform built for `STAGES[stage]`, when the
     /// strategy builds [`CoordinatedPlatform`]s (crash-recovery needs
     /// the concrete driver; decentralized platforms have no grant state
     /// to rejoin).
-    fn coordinated(&self, _name: &str) -> Option<CoordinatedPlatform> {
+    fn coordinated(&self, _stage: usize) -> Option<CoordinatedPlatform> {
         None
     }
 }
@@ -528,28 +725,15 @@ struct DecentralizedFactory;
 impl DriverFactory for DecentralizedFactory {
     type Driver = FederatedPlatform;
 
-    fn init(&mut self, _sim: &mut Simulation) {}
-
     fn make(
         &mut self,
-        _sim: &mut Simulation,
-        name: &'static str,
+        stage: &StageSpec,
         runtime: Runtime,
         clock: VirtualClock,
         outbox: Outbox,
         cost_rng: SimRng,
-        _data_binding: &Binding,
     ) -> FederatedPlatform {
-        FederatedPlatform::new(name, runtime, clock, outbox, cost_rng)
-    }
-
-    fn finish(&mut self, _sim: &mut Simulation) {}
-
-    fn report(&self) -> CoordReport {
-        CoordReport {
-            within_bound: true,
-            ..CoordReport::default()
-        }
+        FederatedPlatform::new(stage.name, runtime, clock, outbox, cost_rng)
     }
 }
 
@@ -557,110 +741,88 @@ impl DriverFactory for DecentralizedFactory {
 /// grants every stage its tag advances. The data plane is untouched, so
 /// traces stay bit-identical to the decentralized build.
 struct CentralizedFactory {
-    coord_link: LinkConfig,
-    control_diet: bool,
-    edges: [(&'static str, &'static str, Duration); 3],
-    coord_net: Option<NetworkHandle>,
+    deadlines: StageDeadlines,
+    /// `L + E`, added to the upstream deadline on every RTI edge.
+    stp: Duration,
+    coord_net: NetworkHandle,
     coord_sd: SdRegistry,
-    rti: Option<Rti>,
-    platforms: Vec<(&'static str, CoordinatedPlatform)>,
+    rti: Rti,
+    /// The stages built so far, in [`STAGES`] order.
+    platforms: Vec<CoordinatedPlatform>,
 }
 
 impl CentralizedFactory {
-    fn new(params: &DetParams) -> Self {
-        let stp = params.latency_bound + params.clock_error;
+    fn new(sim: &mut Simulation, params: &DetParams) -> Self {
+        let coord_net = NetworkHandle::new(params.coord_link.clone(), sim.fork_rng("coord-net"));
+        let coord_sd = SdRegistry::new();
+        let rti = Rti::new(sim, &coord_net, &coord_sd, nodes::RTI);
+        // Before any platform is built: each platform samples the diet
+        // mode once, at construction.
+        if params.control_diet {
+            rti.enable_control_diet();
+        }
         CentralizedFactory {
-            coord_link: params.coord_link.clone(),
-            control_diet: params.control_diet,
-            edges: [
-                ("adapter", "preprocessing", params.deadlines.adapter + stp),
-                (
-                    "preprocessing",
-                    "computer_vision",
-                    params.deadlines.preprocessing + stp,
-                ),
-                (
-                    "computer_vision",
-                    "eba",
-                    params.deadlines.computer_vision + stp,
-                ),
-            ],
-            coord_net: None,
-            coord_sd: SdRegistry::new(),
-            rti: None,
+            deadlines: params.deadlines,
+            stp: params.latency_bound + params.clock_error,
+            coord_net,
+            coord_sd,
+            rti,
             platforms: Vec::new(),
         }
-    }
-
-    fn federate(&self, name: &str) -> dear_federation::FederateId {
-        self.platforms
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, p)| p.federate_id())
-            .expect("stage registered")
     }
 }
 
 impl DriverFactory for CentralizedFactory {
     type Driver = CoordinatedPlatform;
 
-    fn init(&mut self, sim: &mut Simulation) {
-        let coord_net = NetworkHandle::new(self.coord_link.clone(), sim.fork_rng("coord-net"));
-        let rti = Rti::new(sim, &coord_net, &self.coord_sd, nodes::RTI);
-        // Before any platform is built: each platform samples the diet
-        // mode once, at construction.
-        if self.control_diet {
-            rti.enable_control_diet();
-        }
-        self.rti = Some(rti);
-        self.coord_net = Some(coord_net);
-    }
-
     fn make(
         &mut self,
-        _sim: &mut Simulation,
-        name: &'static str,
+        stage: &StageSpec,
         runtime: Runtime,
         clock: VirtualClock,
         outbox: Outbox,
         cost_rng: SimRng,
-        data_binding: &Binding,
     ) -> CoordinatedPlatform {
         let coord_binding = Binding::new(
-            self.coord_net.as_ref().expect("init first"),
+            &self.coord_net,
             &self.coord_sd,
-            data_binding.node(),
+            stage.node,
             0x70 + u16::try_from(self.platforms.len()).expect("stage count"),
         );
-        // Only the adapter takes physical inputs from outside the
-        // federation (the legacy video provider).
-        let external = name == "adapter";
         let platform = CoordinatedPlatform::new(
-            name,
+            stage.name,
             runtime,
             clock,
             outbox,
             cost_rng,
-            self.rti.as_ref().expect("init first"),
+            &self.rti,
             &coord_binding,
-            external,
+            stage
+                .inputs
+                .iter()
+                .any(|&(_, service, _)| external(service)),
         );
-        self.platforms.push((name, platform.clone()));
+        self.platforms.push(platform.clone());
         platform
     }
 
-    fn finish(&mut self, _sim: &mut Simulation) {
-        let rti = self.rti.as_ref().expect("init first");
-        for (up, down, delay) in self.edges {
-            rti.connect(self.federate(up), self.federate(down), delay);
+    /// One RTI edge per stage feeding another, delayed by the upstream
+    /// deadline plus `L + E`.
+    fn finish(&self) {
+        for (up, upstream) in STAGES.iter().enumerate() {
+            let delay = (upstream.deadline)(&self.deadlines) + self.stp;
+            for (down, _) in STAGES.iter().enumerate().filter(|(_, d)| upstream.feeds(d)) {
+                self.rti.connect(
+                    self.platforms[up].federate_id(),
+                    self.platforms[down].federate_id(),
+                    delay,
+                );
+            }
         }
     }
 
-    fn coordinated(&self, name: &str) -> Option<CoordinatedPlatform> {
-        self.platforms
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, p)| p.clone())
+    fn coordinated(&self, stage: usize) -> Option<CoordinatedPlatform> {
+        self.platforms.get(stage).cloned()
     }
 
     fn report(&self) -> CoordReport {
@@ -668,7 +830,7 @@ impl DriverFactory for CentralizedFactory {
             within_bound: true,
             ..CoordReport::default()
         };
-        for (_, p) in &self.platforms {
+        for p in &self.platforms {
             let cs = p.coordination_stats();
             report.nets_sent += cs.nets_sent();
             report.ltcs_sent += cs.ltcs_sent();
@@ -686,30 +848,85 @@ impl DriverFactory for CentralizedFactory {
     }
 }
 
+impl DetParams {
+    /// End of the simulated run: every frame period plus one second for
+    /// the pipeline to drain.
+    fn horizon(&self) -> Instant {
+        Instant::EPOCH
+            + self.period * i64::try_from(self.frames).expect("frame count")
+            + Duration::from_secs(1)
+    }
+}
+
+impl RecoveryParams {
+    /// When the CV federate dies: a quarter period after the nominal send
+    /// time of frame `crash_after_frame`.
+    fn crash_at(&self, period: Duration) -> Instant {
+        Instant::EPOCH
+            + period * i64::try_from(self.crash_after_frame).expect("frame id")
+            + Duration::from_nanos(period.as_nanos() / 4)
+    }
+}
+
 /// Runs one seeded instance of the deterministic brake assistant under
 /// the configured coordination strategy.
 ///
 /// # Panics
 ///
-/// Panics if [`DetParams::redundancy`] is set with
-/// `primary_dies_after >= frames` — a redundancy scenario must kill its
-/// primary within the run. Likewise panics if [`DetParams::recovery`]
-/// is set with `crash_after_frame >= frames`, or under
-/// [`Coordination::Decentralized`] (crash-recovery replays granted
-/// bounds, a property only the centralized driver has).
+/// Checks the scenario before building anything, and panics if:
+///
+/// * [`DetParams::recovery`] is set with `crash_after_frame >= frames`
+///   (the CV federate must die within the run);
+/// * [`DetParams::recovery`] is set under
+///   [`Coordination::Decentralized`] (crash-recovery replays granted
+///   bounds, a property only the centralized driver has);
+/// * [`DetParams::recovery`] restarts the CV federate at or after the
+///   horizon (`frames` periods plus 1 s), so it would never rejoin;
+/// * [`DetParams::redundancy`] is set with `primary_dies_after >= frames`
+///   (the primary must die within the run).
 #[must_use]
 pub fn run_det(seed: u64, params: &DetParams) -> DetReport {
+    if let Some(rec) = params.recovery {
+        assert!(
+            rec.crash_after_frame < params.frames,
+            "a recovery scenario must kill the CV federate within the run"
+        );
+        assert!(
+            params.coordination == Coordination::Centralized,
+            "DetParams::recovery requires Coordination::Centralized"
+        );
+        let restart = rec.crash_at(params.period) + rec.dead_for;
+        assert!(
+            restart < params.horizon(),
+            "recovery requires the CV federate to restart within the horizon: \
+             restart at {restart} but horizon {}",
+            params.horizon()
+        );
+    }
+    if let Some(red) = params.redundancy {
+        assert!(
+            red.primary_dies_after < params.frames,
+            "redundancy requires the primary to die within the run: \
+             primary_dies_after = {} but frames = {}",
+            red.primary_dies_after,
+            params.frames
+        );
+    }
     match params.coordination {
-        Coordination::Decentralized => run_det_with(seed, params, DecentralizedFactory),
-        Coordination::Centralized => run_det_with(seed, params, CentralizedFactory::new(params)),
+        Coordination::Decentralized => run_det_with(seed, params, |_| DecentralizedFactory),
+        Coordination::Centralized => {
+            run_det_with(seed, params, |sim| CentralizedFactory::new(sim, params))
+        }
     }
 }
 
 #[allow(clippy::too_many_lines)]
-fn run_det_with<F: DriverFactory>(seed: u64, params: &DetParams, mut factory: F) -> DetReport {
-    use services::{
-        ADAPTER, COMPUTER_VISION, EVENTGROUP, EVENT_AUX, EVENT_MAIN, INSTANCE, PREPROCESSING, VIDEO,
-    };
+fn run_det_with<F: DriverFactory>(
+    seed: u64,
+    params: &DetParams,
+    factory: impl FnOnce(&mut Simulation) -> F,
+) -> DetReport {
+    use services::{BACKUP_INSTANCE, EVENTGROUP, EVENT_MAIN, INSTANCE, VIDEO};
 
     let mut sim = Simulation::new(seed);
     if params.observability {
@@ -718,11 +935,9 @@ fn run_det_with<F: DriverFactory>(seed: u64, params: &DetParams, mut factory: F)
     let net = NetworkHandle::new(params.loopback.clone(), sim.fork_rng("net"));
     net.configure_link(nodes::PROVIDER, nodes::ADAPTER, params.ethernet.clone());
     let sd = SdRegistry::new();
-    factory.init(&mut sim);
+    let mut factory = factory(&mut sim);
     let offer_ttl = Duration::from_secs(1 << 30);
     let cfg = DearConfig::new(params.latency_bound, params.clock_error);
-    let sensor_cfg = cfg.accept_untagged();
-
     let spec = |service: u16, event: u16| EventSpec {
         service,
         instance: INSTANCE,
@@ -730,326 +945,215 @@ fn run_det_with<F: DriverFactory>(seed: u64, params: &DetParams, mut factory: F)
         event,
     };
 
-    // --- Video Adapter (sensor) -------------------------------------------
-    let (adapter, adapter_failover) = {
+    // --- Pipeline stages ---------------------------------------------------
+    let sinks = Sinks::default();
+    let recovered: Rc<RefCell<Option<PlatformRecovery>>> = Rc::default();
+    let mut camera_failover = None;
+    let mut stages = Vec::with_capacity(STAGES.len());
+    for (index, stage) in STAGES.iter().enumerate() {
         let outbox = Outbox::new();
-        let mut b = ProgramBuilder::new();
-        let camera = ClientEventTransactor::declare(&mut b, "camera");
-        let publish =
-            ServerEventTransactor::declare(&mut b, &outbox, "frames", params.deadlines.adapter);
-        let logic: AdapterLogic = b.declare_ext(
-            "adapter_logic",
-            (),
-            AdapterLogicExternals {
-                camera: camera.event,
-            },
-        );
-        b.connect(logic.frame, publish.event).unwrap();
-        let program = b.build().expect("adapter program");
-        let logic_rid = program
-            .find_reaction("adapter_logic.adapt")
-            .expect("adapt reaction");
-        let binding = Binding::new(&net, &sd, nodes::ADAPTER, 0x20);
-        let cost_rng = sim.fork_rng("adapter-costs");
+        let deadline = (stage.deadline)(&params.deadlines);
+        let program = build_program(stage, &outbox, deadline, &sinks);
+        let binding = Binding::new(&net, &sd, stage.node, stage.client_id);
+        let cost_rng = sim.fork_rng(stage.cost_rng);
         let platform = factory.make(
-            &mut sim,
-            "adapter",
-            Runtime::new(program),
+            stage,
+            program.runtime,
             VirtualClock::ideal(),
-            outbox,
+            outbox.clone(),
             cost_rng,
-            &binding,
         );
-        platform.set_reaction_cost(logic_rid, params.timings.adapter.clone());
-        binding.offer(&mut sim, ServiceInstance::new(ADAPTER, INSTANCE), offer_ttl);
-        // With a redundant provider group the camera binds through a
-        // FailoverBinding (tracking the best VIDEO offer); the plain
-        // scenario keeps the fixed-instance bind, bit-identical to the
-        // pre-failover builds.
-        let (s1, failover) = if let Some(red) = &params.redundancy {
-            let (s1, failover) = camera.bind_failover(
-                &mut sim,
-                &platform,
-                &binding,
-                FailoverEventSpec {
-                    service: VIDEO,
-                    eventgroup: EVENTGROUP,
-                    event: EVENT_MAIN,
-                },
-                sensor_cfg,
-            );
-            if let Some(timeout) = red.heartbeat_timeout {
-                failover.enable_heartbeat(&mut sim, timeout);
-            }
-            (s1, Some(failover))
-        } else {
-            (
-                camera.bind(&platform, &binding, spec(VIDEO, EVENT_MAIN), sensor_cfg),
-                None,
-            )
-        };
-        publish.bind(&platform, &binding, spec(ADAPTER, EVENT_MAIN));
-        (
-            Stage {
-                platform,
-                stats: vec![s1],
-            },
-            failover,
-        )
-    };
-
-    // Preprocessing.
-    let preprocessing = {
-        let outbox = Outbox::new();
-        let mut b = ProgramBuilder::new();
-        let input = ClientEventTransactor::declare(&mut b, "frames");
-        let publish_lane =
-            ServerEventTransactor::declare(&mut b, &outbox, "lane", params.deadlines.preprocessing);
-        let publish_frame = ServerEventTransactor::declare(
-            &mut b,
-            &outbox,
-            "frame_fwd",
-            params.deadlines.preprocessing,
-        );
-        let logic: PreprocessingLogic = b.declare_ext(
-            "preprocessing_logic",
-            (),
-            PreprocessingLogicExternals {
-                frames: input.event,
-            },
-        );
-        b.connect(logic.lane, publish_lane.event).unwrap();
-        b.connect(logic.frame, publish_frame.event).unwrap();
-        let program = b.build().expect("preprocessing program");
-        let logic_rid = program
-            .find_reaction("preprocessing_logic.preprocess")
-            .expect("preprocess reaction");
-        let binding = Binding::new(&net, &sd, nodes::PREPROCESSING, 0x30);
-        let cost_rng = sim.fork_rng("preproc-costs");
-        let platform = factory.make(
-            &mut sim,
-            "preprocessing",
-            Runtime::new(program),
-            VirtualClock::ideal(),
-            outbox,
-            cost_rng,
-            &binding,
-        );
-        platform.set_reaction_cost(logic_rid, params.timings.preprocessing.clone());
-        binding.offer(
-            &mut sim,
-            ServiceInstance::new(PREPROCESSING, INSTANCE),
-            offer_ttl,
-        );
-        let s1 = input.bind(&platform, &binding, spec(ADAPTER, EVENT_MAIN), cfg);
-        publish_lane.bind(&platform, &binding, spec(PREPROCESSING, EVENT_MAIN));
-        publish_frame.bind(&platform, &binding, spec(PREPROCESSING, EVENT_AUX));
-        Stage {
-            platform,
-            stats: vec![s1],
+        platform.set_reaction_cost(program.reaction, (stage.timing)(&params.timings));
+        if let Some(service) = stage.offers {
+            binding.offer(&mut sim, ServiceInstance::new(service, INSTANCE), offer_ttl);
         }
-    };
-
-    // Computer Vision. The program construction is factored out
-    // ([`build_cv_program`]) so a crash-recovery scenario can rebuild
-    // the byte-identical program for the replacement incarnation.
-    let mismatches = Arc::new(Mutex::new(0u64));
-    let cv_outbox = Outbox::new();
-    let (cv, cv_lane_in, cv_frame_in) = {
-        let (runtime, lane_in, frame_in, publish, logic_rid) =
-            build_cv_program(&cv_outbox, params.deadlines.computer_vision, &mismatches);
-        let binding = Binding::new(&net, &sd, nodes::COMPUTER_VISION, 0x40);
-        let cost_rng = sim.fork_rng("cv-costs");
-        let platform = factory.make(
-            &mut sim,
-            "computer_vision",
-            runtime,
-            VirtualClock::ideal(),
-            cv_outbox.clone(),
-            cost_rng,
-            &binding,
-        );
-        platform.set_reaction_cost(logic_rid, params.timings.computer_vision.clone());
-        binding.offer(
-            &mut sim,
-            ServiceInstance::new(COMPUTER_VISION, INSTANCE),
-            offer_ttl,
-        );
-        let s1 = lane_in.bind(&platform, &binding, spec(PREPROCESSING, EVENT_MAIN), cfg);
-        let s2 = frame_in.bind(&platform, &binding, spec(PREPROCESSING, EVENT_AUX), cfg);
-        publish.bind(&platform, &binding, spec(COMPUTER_VISION, EVENT_MAIN));
-        (
-            Stage {
-                platform,
-                stats: vec![s1, s2],
-            },
-            lane_in,
-            frame_in,
-        )
-    };
-
-    // --- Crash-recovery scenario (durable log + rejoin) --------------------
-    let recovered: Rc<RefCell<Option<PlatformRecovery>>> = Rc::new(RefCell::new(None));
-    if let Some(rec) = params.recovery {
-        assert!(
-            rec.crash_after_frame < params.frames,
-            "a recovery scenario must kill the CV federate within the run"
-        );
-        let platform = factory
-            .coordinated("computer_vision")
-            .expect("DetParams::recovery requires Coordination::Centralized");
-        platform.attach_durable(EventLog::in_memory());
-        platform.set_snapshot_every(rec.snapshot_every);
-        // Both CV inboxes carry raw SOME/IP payloads; the codec is the
-        // identity. The action ids are structural, so the rebuilt
-        // incarnation replays into the same inboxes.
-        platform.register_durable_input(
-            cv_lane_in.action(),
-            |frame: &FrameBuf| frame.to_vec(),
-            |bytes| Some(bytes.to_vec().into()),
-        );
-        platform.register_durable_input(
-            cv_frame_in.action(),
-            |frame: &FrameBuf| frame.to_vec(),
-            |bytes| Some(bytes.to_vec().into()),
-        );
-
-        let crash_at = Instant::EPOCH
-            + params.period * i64::try_from(rec.crash_after_frame).expect("frame id")
-            + Duration::from_nanos(params.period.as_nanos() / 4);
-        let mut plan = FaultPlan::new();
-        plan.crash_node(crash_at, nodes::COMPUTER_VISION)
-            .restore_node(crash_at + rec.dead_for, nodes::COMPUTER_VISION);
-        plan.apply(&mut sim, &net);
-
-        let slot = recovered.clone();
-        let outbox = cv_outbox.clone();
-        let mismatches = mismatches.clone();
-        let cv_deadline = params.deadlines.computer_vision;
-        let record_traces = params.record_traces;
-        net.on_node_event(move |sim, node, up| {
-            if node != nodes::COMPUTER_VISION {
-                return;
-            }
-            if up {
-                // The replacement incarnation: reset the outbox so the
-                // rebuilt transactors re-claim the same route ids,
-                // rebuild the identical program, and replay the log.
-                outbox.reset();
-                let (mut runtime, _, _, _, _) = build_cv_program(&outbox, cv_deadline, &mismatches);
-                if record_traces {
-                    runtime.enable_tracing();
-                }
-                *slot.borrow_mut() = Some(platform.recover(sim, runtime));
+        let mut stats = Vec::with_capacity(stage.inputs.len());
+        for (input, &(_, service, event)) in program.inputs.iter().zip(stage.inputs) {
+            let is_external = external(service);
+            let cfg = if is_external {
+                cfg.accept_untagged()
             } else {
-                platform.crash(sim);
-            }
-        });
-    }
-
-    // EBA.
-    let decisions: Arc<Mutex<Vec<(BrakeDecision, u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-    let eba = {
-        let outbox = Outbox::new();
-        let mut b = ProgramBuilder::new();
-        let input = ClientEventTransactor::declare(&mut b, "vehicles");
-        let _logic: EbaLogic = b.declare_ext(
-            "eba_logic",
-            decisions.clone(),
-            EbaLogicExternals {
-                vehicles: input.event,
-                deadline: params.deadlines.eba,
-            },
-        );
-        let program = b.build().expect("eba program");
-        let logic_rid = program
-            .find_reaction("eba_logic.decide")
-            .expect("decide reaction");
-        let binding = Binding::new(&net, &sd, nodes::EBA, 0x50);
-        let cost_rng = sim.fork_rng("eba-costs");
-        let platform = factory.make(
-            &mut sim,
-            "eba",
-            Runtime::new(program),
-            VirtualClock::ideal(),
-            outbox,
-            cost_rng,
-            &binding,
-        );
-        platform.set_reaction_cost(logic_rid, params.timings.eba.clone());
-        let s1 = input.bind(&platform, &binding, spec(COMPUTER_VISION, EVENT_MAIN), cfg);
-        Stage {
-            platform,
-            stats: vec![s1],
-        }
-    };
-
-    // --- Video Provider (plain, untagged AP component; redundancy runs
-    // a primary/standby pair instead) --------------------------------------
-    let primary_death_at: Rc<Cell<Option<Instant>>> = Rc::new(Cell::new(None));
-    if let Some(red) = params.redundancy {
-        build_redundant_providers(&mut sim, &net, &sd, params, red, primary_death_at.clone());
-    } else {
-        let provider_binding = Binding::new(&net, &sd, nodes::PROVIDER, 0x10);
-        provider_binding.offer(&mut sim, ServiceInstance::new(VIDEO, INSTANCE), offer_ttl);
-        let rng = sim.fork_rng("provider");
-        let jitter = params.provider_jitter;
-        let period = params.period;
-        let frames_total = params.frames;
-        let binding = provider_binding.clone();
-        fn send_frame(
-            sim: &mut Simulation,
-            binding: Binding,
-            mut rng: dear_sim::SimRng,
-            id: u64,
-            total: u64,
-            period: Duration,
-            jitter: Duration,
-        ) {
-            if id >= total {
-                return;
-            }
-            let frame = Frame::new(id, sim.now().as_nanos());
-            binding.notify(
-                sim,
-                ServiceInstance::new(services::VIDEO, services::INSTANCE),
-                services::EVENTGROUP,
-                services::EVENT_MAIN,
-                frame.to_payload(),
-            );
-            let next = if jitter.is_zero() {
-                period
-            } else {
-                period + rng.uniform_duration(-jitter, jitter)
+                cfg
             };
-            sim.schedule_in(next, move |sim| {
-                send_frame(sim, binding, rng, id + 1, total, period, jitter)
+            // A redundant provider group binds through a FailoverBinding
+            // tracking the best offer.
+            if let Some(red) = params.redundancy.filter(|_| is_external) {
+                let (s, failover) = input.bind_failover(
+                    &mut sim,
+                    &platform,
+                    &binding,
+                    FailoverEventSpec {
+                        service,
+                        eventgroup: EVENTGROUP,
+                        event,
+                    },
+                    cfg,
+                );
+                if let Some(timeout) = red.heartbeat_timeout {
+                    failover.enable_heartbeat(&mut sim, timeout);
+                }
+                stats.push(s);
+                camera_failover = Some(failover);
+            } else {
+                stats.push(input.bind(&platform, &binding, spec(service, event), cfg));
+            }
+        }
+        for (output, &(_, event)) in program.outputs.iter().zip(stage.outputs) {
+            let service = stage.offers.expect("a stage with outputs offers a service");
+            output.bind(&platform, &binding, spec(service, event));
+        }
+
+        // Crash recovery: a durable log on the stage's federate, a crash
+        // and restore of its node, and a rebuild plus log replay on
+        // restore.
+        if let Some(rec) = params.recovery.filter(|_| index == RECOVERED) {
+            let platform = factory.coordinated(index).expect("validated: centralized");
+            platform.attach_durable(EventLog::in_memory());
+            platform.set_snapshot_every(rec.snapshot_every);
+            // Every inbox carries raw SOME/IP payloads; the codec is the
+            // identity. The action ids are structural, so the rebuilt
+            // incarnation replays into the same inboxes.
+            for input in &program.inputs {
+                platform.register_durable_input(
+                    input.action(),
+                    |frame: &FrameBuf| frame.to_vec(),
+                    |bytes| Some(bytes.to_vec().into()),
+                );
+            }
+            let crash_at = rec.crash_at(params.period);
+            let mut plan = FaultPlan::new();
+            plan.crash_node(crash_at, stage.node)
+                .restore_node(crash_at + rec.dead_for, stage.node);
+            plan.apply(&mut sim, &net);
+            let slot = recovered.clone();
+            let sinks = sinks.clone();
+            let record_traces = params.record_traces;
+            net.on_node_event(move |sim, node, up| {
+                if node != stage.node {
+                    return;
+                }
+                if up {
+                    // The replacement incarnation: reset the outbox so the
+                    // rebuilt transactors re-claim the same route ids,
+                    // rebuild the identical program, and replay the log.
+                    outbox.reset();
+                    let mut runtime = build_program(stage, &outbox, deadline, &sinks).runtime;
+                    if record_traces {
+                        runtime.enable_tracing();
+                    }
+                    *slot.borrow_mut() = Some(platform.recover(sim, runtime));
+                } else {
+                    platform.crash(sim);
+                }
             });
         }
-        sim.schedule_at(Instant::EPOCH, move |sim| {
-            send_frame(sim, binding, rng, 0, frames_total, period, jitter)
-        });
+        stages.push(Stage { platform, stats });
     }
 
+    // --- Video Provider (plain, untagged AP component). A redundancy
+    // scenario adds a warm standby and kills the primary mid-run. --------
+    let primary = ServiceInstance::new(VIDEO, INSTANCE);
+    let provider_binding = Binding::new(&net, &sd, nodes::PROVIDER, 0x10);
+    let death_at: Rc<Cell<Option<Instant>>> = Rc::default();
+    let death = if let Some(red) = params.redundancy {
+        let backup = ServiceInstance::new(VIDEO, BACKUP_INSTANCE);
+        // The standby sits next to the primary on platform 1: both reach
+        // the adapter over the Ethernet link, and the replication feed
+        // (primary → standby) crosses the same switch.
+        for (src, dst) in [
+            (nodes::PROVIDER_BACKUP, nodes::ADAPTER),
+            (nodes::PROVIDER, nodes::PROVIDER_BACKUP),
+        ] {
+            net.configure_link(src, dst, params.ethernet.clone());
+        }
+        let backup_binding = Binding::new(&net, &sd, nodes::PROVIDER_BACKUP, 0x11);
+
+        // Offer order matters for the adapter's very first bind: the
+        // primary first, so the failover binding never transits through
+        // the standby. The standby never dies.
+        let alive = Rc::new(Cell::new(true));
+        let renewal = |instance, node, priority, alive| OfferRenewal {
+            sd: sd.clone(),
+            instance,
+            node,
+            ttl: red.offer_ttl,
+            period: red.reoffer_period,
+            priority,
+            alive,
+        };
+        let renewals = [
+            renewal(primary, nodes::PROVIDER, 0, alive.clone()),
+            renewal(backup, nodes::PROVIDER_BACKUP, 1, Rc::new(Cell::new(true))),
+        ];
+        for r in &renewals {
+            r.offer(&mut sim);
+        }
+        for r in renewals {
+            r.arm(&mut sim);
+        }
+
+        // The standby replicates the primary's frame stream by subscribing
+        // to it, and takes over when SD drops the primary or (with a
+        // heartbeat watchdog) when the stream goes silent.
+        let last_seen = Rc::new(Cell::new(None));
+        let mut frames = FrameLoop::new(&sim, &backup_binding, backup, "provider-backup", params);
+        frames.replicated = Some(last_seen.clone());
+        let standby = Rc::new(BackupProvider {
+            active: Cell::new(false),
+            last_seen,
+            frames: RefCell::new(Some(frames)),
+            watchdog_gen: Cell::new(0),
+            timeout: red.heartbeat_timeout,
+        });
+        sd.subscribe(primary, EVENTGROUP, nodes::PROVIDER_BACKUP);
+        let on_frame = standby.clone();
+        backup_binding.on_event(VIDEO, EVENT_MAIN, move |sim, msg| {
+            if let Ok(frame) = Frame::from_payload(&msg.payload) {
+                on_frame.on_replicated(sim, frame.id);
+            }
+        });
+        let on_offer = standby.clone();
+        sd.watch(
+            &mut sim,
+            VIDEO,
+            dear_someip::ANY_INSTANCE,
+            move |sim, best| {
+                if best.map(|o| o.instance) == Some(backup) {
+                    on_offer.activate(sim);
+                }
+            },
+        );
+        standby.arm_watchdog(&mut sim);
+        Some(Death {
+            after: red.primary_dies_after,
+            graceful: red.graceful,
+            sd: sd.clone(),
+            alive,
+            at: death_at.clone(),
+        })
+    } else {
+        provider_binding.offer(&mut sim, primary, offer_ttl);
+        None
+    };
+    let mut provider = FrameLoop::new(&sim, &provider_binding, primary, "provider", params);
+    provider.death = death;
+    sim.schedule_at(Instant::EPOCH, move |sim| provider.send(sim));
+
     // --- Run ---------------------------------------------------------------
-    factory.finish(&mut sim);
-    let all_stages = [adapter, preprocessing, cv, eba];
-    for stage in &all_stages {
+    factory.finish();
+    for stage in &stages {
         if params.record_traces {
             stage.platform.with_runtime(|rt| rt.enable_tracing());
         }
         stage.platform.start(&mut sim);
     }
-    let horizon = Instant::EPOCH
-        + params.period * i64::try_from(params.frames).expect("frame count")
-        + Duration::from_secs(1);
-    sim.run_until(horizon);
+    sim.run_until(params.horizon());
 
     // --- Collect -----------------------------------------------------------
     let mut stp = 0;
     let mut misses = 0;
     let mut untagged = 0;
-    for stage in &all_stages {
+    for stage in &stages {
         let rt = stage.platform.runtime_stats();
         stp += rt.stp_violations;
         misses += rt.deadline_misses;
@@ -1060,7 +1164,7 @@ fn run_det_with<F: DriverFactory>(seed: u64, params: &DetParams, mut factory: F)
     }
 
     let stage_traces: Vec<(String, u64)> = if params.record_traces {
-        all_stages
+        stages
             .iter()
             .map(|stage| {
                 let fingerprint = stage
@@ -1075,14 +1179,14 @@ fn run_det_with<F: DriverFactory>(seed: u64, params: &DetParams, mut factory: F)
     };
     let coordination = factory.report();
 
-    let mismatches_cv = *mismatches.lock().expect("mismatch counter");
-    let collected = std::mem::take(&mut *decisions.lock().expect("decisions"));
+    let mismatches_cv = *sinks.mismatches.lock().expect("mismatch counter");
+    let collected = std::mem::take(&mut *sinks.decisions.lock().expect("decisions"));
 
     let failover = params.redundancy.map(|red| {
-        let primary_died_at = primary_death_at
+        let primary_died_at = death_at
             .get()
             .expect("redundancy scenarios kill the primary within the horizon");
-        let failover_binding = adapter_failover
+        let failover_binding = camera_failover
             .as_ref()
             .expect("redundancy scenarios bind the camera through a FailoverBinding");
         let first_backup_frame_at = collected
@@ -1146,173 +1250,12 @@ fn run_det_with<F: DriverFactory>(seed: u64, params: &DetParams, mut factory: F)
     }
 }
 
-/// Builds the Computer Vision stage program.
-///
-/// Factored out of [`run_det_with`] so a crash-recovery scenario can
-/// rebuild the exact same program — declaration order and all — for the
-/// replacement incarnation: action and reaction ids are structural, so
-/// the registered input codecs, route handlers and reaction-cost models
-/// of the dead incarnation apply unchanged to the rebuilt one.
-fn build_cv_program(
-    outbox: &Outbox,
-    deadline: Duration,
-    mismatches: &Arc<Mutex<u64>>,
-) -> (
-    Runtime,
-    ClientEventTransactor,
-    ClientEventTransactor,
-    ServerEventTransactor,
-    ReactionId,
-) {
-    let mut b = ProgramBuilder::new();
-    let lane_in = ClientEventTransactor::declare(&mut b, "lane");
-    let frame_in = ClientEventTransactor::declare(&mut b, "frame_fwd");
-    let publish = ServerEventTransactor::declare(&mut b, outbox, "vehicles", deadline);
-    let logic: ComputerVisionLogic = b.declare_ext(
-        "computer_vision_logic",
-        mismatches.clone(),
-        ComputerVisionLogicExternals {
-            lane: lane_in.event,
-            frame: frame_in.event,
-        },
-    );
-    b.connect(logic.vehicles, publish.event).unwrap();
-    let program = b.build().expect("cv program");
-    let logic_rid = program
-        .find_reaction("computer_vision_logic.detect")
-        .expect("detect reaction");
-    (Runtime::new(program), lane_in, frame_in, publish, logic_rid)
-}
-
-/// Builds the primary/standby Video Provider pair of a redundancy
-/// scenario (see [`RedundancyParams`]).
-fn build_redundant_providers(
-    sim: &mut Simulation,
-    net: &NetworkHandle,
-    sd: &SdRegistry,
-    params: &DetParams,
-    red: RedundancyParams,
-    death_at: Rc<Cell<Option<Instant>>>,
-) {
-    use crate::nondet::services::{BACKUP_INSTANCE, EVENTGROUP, EVENT_MAIN, VIDEO};
-    use services::INSTANCE;
-
-    assert!(
-        red.primary_dies_after < params.frames,
-        "redundancy requires the primary to die within the run: \
-         primary_dies_after = {} but frames = {}",
-        red.primary_dies_after,
-        params.frames
-    );
-
-    let primary_inst = ServiceInstance::new(VIDEO, INSTANCE);
-    let backup_inst = ServiceInstance::new(VIDEO, BACKUP_INSTANCE);
-    // The standby sits next to the primary on platform 1: both reach the
-    // adapter over the Ethernet link, and the replication feed (primary →
-    // standby) crosses the same switch.
-    net.configure_link(
-        nodes::PROVIDER_BACKUP,
-        nodes::ADAPTER,
-        params.ethernet.clone(),
-    );
-    net.configure_link(
-        nodes::PROVIDER,
-        nodes::PROVIDER_BACKUP,
-        params.ethernet.clone(),
-    );
-
-    let primary_binding = Binding::new(net, sd, nodes::PROVIDER, 0x10);
-    let backup_binding = Binding::new(net, sd, nodes::PROVIDER_BACKUP, 0x11);
-
-    // Offer order matters for the adapter's very first bind: the primary
-    // first, so the failover binding never transits through the standby.
-    let primary_alive = Rc::new(Cell::new(true));
-    sd.offer_prioritized(sim, primary_inst, nodes::PROVIDER, red.offer_ttl, 0);
-    sd.offer_prioritized(sim, backup_inst, nodes::PROVIDER_BACKUP, red.offer_ttl, 1);
-    OfferRenewal {
-        sd: sd.clone(),
-        instance: primary_inst,
-        node: nodes::PROVIDER,
-        ttl: red.offer_ttl,
-        period: red.reoffer_period,
-        priority: 0,
-        alive: primary_alive.clone(),
-    }
-    .arm(sim);
-    OfferRenewal {
-        sd: sd.clone(),
-        instance: backup_inst,
-        node: nodes::PROVIDER_BACKUP,
-        ttl: red.offer_ttl,
-        period: red.reoffer_period,
-        priority: 1,
-        alive: Rc::new(Cell::new(true)), // the standby never dies
-    }
-    .arm(sim);
-
-    // The standby replicates the primary's frame stream by subscribing
-    // to it, and takes over when SD drops the primary or (with a
-    // heartbeat watchdog) when the stream goes silent.
-    let backup = Rc::new(BackupProvider {
-        binding: backup_binding.clone(),
-        instance: backup_inst,
-        eventgroup: EVENTGROUP,
-        event: EVENT_MAIN,
-        active: Cell::new(false),
-        last_seen: Cell::new(None),
-        next_id: Cell::new(0),
-        rng: RefCell::new(sim.fork_rng("provider-backup")),
-        period: params.period,
-        jitter: params.provider_jitter,
-        total: params.frames,
-        watchdog_gen: Cell::new(0),
-        timeout: red.heartbeat_timeout,
-    });
-    sd.subscribe(primary_inst, EVENTGROUP, nodes::PROVIDER_BACKUP);
-    {
-        let backup = backup.clone();
-        backup_binding.on_event(VIDEO, EVENT_MAIN, move |sim, msg| {
-            if let Ok(frame) = Frame::from_payload(&msg.payload) {
-                backup.on_replicated(sim, frame.id);
-            }
-        });
-    }
-    {
-        let backup = backup.clone();
-        sd.watch(sim, VIDEO, dear_someip::ANY_INSTANCE, move |sim, best| {
-            if best.map(|o| o.instance) == Some(backup_inst) {
-                backup.activate(sim);
-            }
-        });
-    }
-    backup.arm_watchdog(sim);
-
-    // The primary: the plain provider loop, crashing right after frame
-    // `primary_dies_after`.
-    let looper = PrimaryLoop {
-        binding: primary_binding,
-        sd: sd.clone(),
-        rng: sim.fork_rng("provider"),
-        instance: primary_inst,
-        eventgroup: EVENTGROUP,
-        event: EVENT_MAIN,
-        total: params.frames,
-        dies_after: red.primary_dies_after,
-        period: params.period,
-        jitter: params.provider_jitter,
-        graceful: red.graceful,
-        alive: primary_alive,
-        death_at,
-    };
-    sim.schedule_at(Instant::EPOCH, move |sim| looper.tick(sim, 0));
-}
-
 /// A provider's periodic offer renewal (the SOME/IP-SD heartbeat); stops
 /// when the provider dies.
 struct OfferRenewal {
     sd: SdRegistry,
     instance: ServiceInstance,
-    node: dear_sim::NodeId,
+    node: NodeId,
     ttl: Duration,
     period: Duration,
     priority: u8,
@@ -1325,37 +1268,76 @@ impl OfferRenewal {
         sim.schedule_in(period, move |sim| self.tick(sim));
     }
 
+    fn offer(&self, sim: &mut Simulation) {
+        self.sd
+            .offer_prioritized(sim, self.instance, self.node, self.ttl, self.priority);
+    }
+
     fn tick(self, sim: &mut Simulation) {
         if !self.alive.get() {
             return;
         }
-        self.sd
-            .offer_prioritized(sim, self.instance, self.node, self.ttl, self.priority);
+        self.offer(sim);
         self.arm(sim);
     }
 }
 
-/// The primary Video Provider of a redundancy scenario: the plain frame
-/// loop, dying right after `dies_after` (StopOffer when graceful, silent
-/// crash otherwise).
-struct PrimaryLoop {
-    binding: Binding,
-    sd: SdRegistry,
-    rng: dear_sim::SimRng,
-    instance: ServiceInstance,
-    eventgroup: u16,
-    event: u16,
-    total: u64,
-    dies_after: u64,
-    period: Duration,
-    jitter: Duration,
+/// How the primary Video Provider of a redundancy scenario dies.
+struct Death {
+    /// The primary dies right after sending this frame id.
+    after: u64,
+    /// StopOffer at the death tag (graceful) or silence (crash).
     graceful: bool,
+    sd: SdRegistry,
+    /// Keeps the primary's offer renewals going while set.
     alive: Rc<Cell<bool>>,
-    death_at: Rc<Cell<Option<Instant>>>,
+    /// The death instant, for the [`FailoverReport`].
+    at: Rc<Cell<Option<Instant>>>,
 }
 
-impl PrimaryLoop {
-    fn tick(mut self, sim: &mut Simulation, id: u64) {
+/// A Video Provider's frame loop: one frame per jittered period until
+/// `total` frames. The plain provider is a primary with no death; a
+/// standby resumes after the stream it replicated.
+struct FrameLoop {
+    binding: Binding,
+    instance: ServiceInstance,
+    rng: SimRng,
+    period: Duration,
+    jitter: Duration,
+    total: u64,
+    /// The next frame id this loop itself sends.
+    next_id: u64,
+    /// A standby's highest frame id replicated from the primary.
+    replicated: Option<Rc<Cell<Option<u64>>>>,
+    death: Option<Death>,
+}
+
+impl FrameLoop {
+    fn new(
+        sim: &Simulation,
+        binding: &Binding,
+        instance: ServiceInstance,
+        rng: &str,
+        params: &DetParams,
+    ) -> Self {
+        FrameLoop {
+            binding: binding.clone(),
+            instance,
+            rng: sim.fork_rng(rng),
+            period: params.period,
+            jitter: params.provider_jitter,
+            total: params.frames,
+            next_id: 0,
+            replicated: None,
+            death: None,
+        }
+    }
+
+    fn send(mut self, sim: &mut Simulation) {
+        // Resume strictly after everything replicated so far and
+        // everything this loop already sent itself.
+        let replicated = self.replicated.as_ref().and_then(|seen| seen.get());
+        let id = self.next_id.max(replicated.map_or(0, |s| s + 1));
         if id >= self.total {
             return;
         }
@@ -1363,49 +1345,41 @@ impl PrimaryLoop {
         self.binding.notify(
             sim,
             self.instance,
-            self.eventgroup,
-            self.event,
+            services::EVENTGROUP,
+            services::EVENT_MAIN,
             frame.to_payload(),
         );
-        if id >= self.dies_after {
+        self.next_id = id + 1;
+        if let Some(death) = self.death.as_ref().filter(|d| id >= d.after) {
             // The crash: no further frames, no further renewals; a
             // graceful death also withdraws the offer at this very tag.
-            self.alive.set(false);
-            self.death_at.set(Some(sim.now()));
+            death.alive.set(false);
+            death.at.set(Some(sim.now()));
             sim.trace_with("failover", || {
                 format!("primary provider dies after frame {id}")
             });
-            if self.graceful {
-                self.sd.stop_offer(sim, self.instance);
+            if death.graceful {
+                death.sd.stop_offer(sim, self.instance);
             }
             return;
         }
         let next = if self.jitter.is_zero() {
             self.period
         } else {
-            let jitter = self.jitter;
-            self.period + self.rng.uniform_duration(-jitter, jitter)
+            self.period + self.rng.uniform_duration(-self.jitter, self.jitter)
         };
-        sim.schedule_in(next, move |sim| self.tick(sim, id + 1));
+        sim.schedule_in(next, move |sim| self.send(sim));
     }
 }
 
 /// The warm-standby Video Provider: replicates the primary's stream by
 /// subscription, resumes it at the next frame id once activated.
 struct BackupProvider {
-    binding: Binding,
-    instance: ServiceInstance,
-    eventgroup: u16,
-    event: u16,
     active: Cell<bool>,
     /// Highest frame id observed from the primary.
-    last_seen: Cell<Option<u64>>,
-    /// Next frame id this standby itself would send.
-    next_id: Cell<u64>,
-    rng: RefCell<dear_sim::SimRng>,
-    period: Duration,
-    jitter: Duration,
-    total: u64,
+    last_seen: Rc<Cell<Option<u64>>>,
+    /// The standby's own frame loop, started on activation.
+    frames: RefCell<Option<FrameLoop>>,
     watchdog_gen: Cell<u64>,
     timeout: Option<Duration>,
 }
@@ -1433,11 +1407,10 @@ impl BackupProvider {
         });
     }
 
-    fn activate(self: &Rc<Self>, sim: &mut Simulation) {
-        if self.active.get() {
+    fn activate(&self, sim: &mut Simulation) {
+        if self.active.replace(true) {
             return;
         }
-        self.active.set(true);
         sim.trace_with("failover", || {
             let seen = self.last_seen.get();
             format!("standby provider takes over (last replicated frame: {seen:?})")
@@ -1445,37 +1418,8 @@ impl BackupProvider {
         // The first frame goes out one period after takeover; the id is
         // decided *then*, so replicated frames still in flight at this
         // tag are never re-sent.
-        let this = self.clone();
-        sim.schedule_in(self.period, move |sim| this.send(sim));
-    }
-
-    fn send(self: &Rc<Self>, sim: &mut Simulation) {
-        // Resume strictly after everything replicated so far and
-        // everything this standby already sent itself.
-        let id = self
-            .next_id
-            .get()
-            .max(self.last_seen.get().map_or(0, |s| s + 1));
-        if id >= self.total {
-            return;
-        }
-        let frame = Frame::new(id, sim.now().as_nanos());
-        self.binding.notify(
-            sim,
-            self.instance,
-            self.eventgroup,
-            self.event,
-            frame.to_payload(),
-        );
-        self.next_id.set(id + 1);
-        let next = if self.jitter.is_zero() {
-            self.period
-        } else {
-            let jitter = self.jitter;
-            self.period + self.rng.borrow_mut().uniform_duration(-jitter, jitter)
-        };
-        let this = self.clone();
-        sim.schedule_in(next, move |sim| this.send(sim));
+        let frames = self.frames.take().expect("the standby activates once");
+        sim.schedule_in(frames.period, move |sim| frames.send(sim));
     }
 }
 

@@ -119,3 +119,57 @@ fn recovery_rejects_decentralized_coordination() {
     };
     let _ = run_det(0, &p);
 }
+
+#[test]
+fn an_outage_past_the_cv_budget_costs_deadlines_not_determinism() {
+    // A 60 ms outage is twice the CV deadline plus L (30 ms): the
+    // rebuilt incarnation catches up so late that two reactions miss
+    // their deadlines, and the stage traces diverge from a
+    // never-crashed run. Release tags are logical, though: no
+    // safe-to-process violation, no tag misalignment, and the same
+    // decisions at the same constant 70 ms logical latency.
+    let baseline = run_det(1, &params(false, None));
+    let r = run_det(
+        1,
+        &params(
+            false,
+            Some(RecoveryParams {
+                crash_after_frame: 30,
+                dead_for: Duration::from_millis(60),
+                snapshot_every: 16,
+            }),
+        ),
+    );
+    let rec = r.recovery.expect("recovery report");
+    assert_eq!(rec.outage, Duration::from_millis(60));
+    assert_eq!(rec.replay_mismatches, 0);
+    assert_eq!(r.deadline_misses, 2);
+    assert_eq!(r.stp_violations, 0);
+    assert_eq!(r.mismatches_cv, 0);
+    assert_eq!(r.wrong_decisions, 0);
+    assert_eq!(r.decision_fingerprint(), baseline.decision_fingerprint());
+    assert_eq!(r.decisions.len() as u64, FRAMES);
+    assert!(r.end_to_end.iter().all(|&l| l == Duration::from_millis(70)));
+    assert_ne!(
+        r.stage_traces, baseline.stage_traces,
+        "the late catch-up is visible in the stage traces"
+    );
+}
+
+#[test]
+#[should_panic(expected = "recovery requires the CV federate to restart within the horizon")]
+fn recovery_rejects_a_restart_after_the_horizon() {
+    // Crash at 525 ms, restart at 2525 ms, horizon at 2 s (20 frames
+    // of 50 ms plus 1 s of drain).
+    let p = DetParams {
+        frames: 20,
+        coordination: Coordination::Centralized,
+        recovery: Some(RecoveryParams {
+            crash_after_frame: 10,
+            dead_for: Duration::from_secs(2),
+            ..RecoveryParams::default()
+        }),
+        ..DetParams::default()
+    };
+    let _ = run_det(0, &p);
+}
