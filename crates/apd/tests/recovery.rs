@@ -37,7 +37,7 @@ fn recovery(dead_for: Duration, snapshot_every: u64) -> RecoveryParams {
 #[test]
 fn recovered_run_is_byte_identical_across_seeds_and_diet() {
     for diet in [false, true] {
-        for seed in [0, 3] {
+        for seed in [0, 3, 42] {
             let baseline = run_det(seed, &params(diet, None));
             let r = run_det(
                 seed,
@@ -67,6 +67,7 @@ fn recovered_run_is_byte_identical_across_seeds_and_diet() {
 
 #[test]
 fn snapshot_cadence_is_invisible_in_the_outcome() {
+    let baseline = run_det(7, &params(false, None));
     let dense = run_det(
         7,
         &params(false, Some(recovery(Duration::from_millis(10), 1))),
@@ -75,8 +76,12 @@ fn snapshot_cadence_is_invisible_in_the_outcome() {
         7,
         &params(false, Some(recovery(Duration::from_millis(10), 64))),
     );
-    assert_eq!(dense.decision_fingerprint(), sparse.decision_fingerprint());
-    assert_eq!(dense.stage_traces, sparse.stage_traces);
+    for r in [&dense, &sparse] {
+        assert_eq!(r.decision_fingerprint(), baseline.decision_fingerprint());
+        assert_eq!(r.stage_traces, baseline.stage_traces);
+        assert_eq!(r.stp_violations, 0);
+        assert_eq!(r.recovery.expect("recovery report").replay_mismatches, 0);
+    }
     assert_eq!(dense.recovery, sparse.recovery);
 }
 
@@ -84,7 +89,7 @@ fn snapshot_cadence_is_invisible_in_the_outcome() {
 fn longer_outages_replay_identically_within_the_stp_budget() {
     let baseline = run_det(11, &params(false, None));
     // dead_for must stay inside D_cv + L = 30 ms; sweep up to 25 ms.
-    for dead_ms in [5i64, 15, 25] {
+    for dead_ms in [5i64, 10, 15, 20, 25] {
         let r = run_det(
             11,
             &params(false, Some(recovery(Duration::from_millis(dead_ms), 16))),

@@ -3,7 +3,8 @@
 //! recovery reports and a hash of the metrics snapshot, for nine
 //! fixed scenarios covering PTIDES and the RTI, telemetry, the control
 //! diet, crash and graceful failover, crash recovery, and failover
-//! plus recovery in one run.
+//! plus recovery in one run; plus the failover report of every
+//! failover detection path.
 //!
 //! The other brake-assistant tests compare two runs with each other
 //! (PTIDES vs RTI, crashed vs never crashed, seed vs seed), so a
@@ -302,4 +303,64 @@ fn failover_and_recovery_under_rti_seed_1() {
         metrics: NO_METRICS,
     };
     check(1, &p, &pin);
+}
+
+/// Every failover detection path, seed 42, primary dead after frame
+/// 99: StopOffer, SD TTL expiry at two TTLs and the heartbeat watchdog
+/// at two timeouts. Each decides every frame once with no
+/// safe-to-process violation, replays exactly and reports the pinned
+/// failover tags.
+#[test]
+fn failover_detection_modes_seed_42() {
+    let died = 4_954_065_990;
+    let modes = [
+        (
+            true,
+            400,
+            None,
+            failover(died, died, 5_005_182_879, 51_116_889),
+        ),
+        (
+            false,
+            400,
+            None,
+            failover(died, 5_350_000_001, 5_401_193_680, 447_127_690),
+        ),
+        (
+            false,
+            800,
+            None,
+            failover(died, 5_750_000_001, 5_801_193_680, 847_127_690),
+        ),
+        (
+            false,
+            800,
+            Some(150),
+            failover(died, 5_105_382_351, 5_156_099_101, 202_033_111),
+        ),
+        (
+            false,
+            800,
+            Some(300),
+            failover(died, 5_255_382_351, 5_306_099_101, 352_033_111),
+        ),
+    ];
+    for (graceful, ttl_ms, heartbeat_ms, pinned) in modes {
+        let p = DetParams {
+            redundancy: Some(RedundancyParams {
+                offer_ttl: Duration::from_millis(ttl_ms),
+                ..redundancy(99, graceful, heartbeat_ms.map(Duration::from_millis))
+            }),
+            ..params(Ptides, false, false)
+        };
+        let mode = format!("graceful={graceful} ttl={ttl_ms}ms heartbeat={heartbeat_ms:?}");
+        let r = run_det(42, &p);
+        assert_eq!(r.failover, pinned, "{mode}");
+        assert_eq!(r.decisions.len() as u64, FRAMES, "{mode}");
+        assert_eq!(r.decision_fingerprint(), DECISIONS, "{mode}");
+        assert_eq!(r.stp_violations, 0, "{mode}");
+        let replay = run_det(42, &p);
+        assert_eq!(replay.stage_traces, r.stage_traces, "{mode}: replay");
+        assert_eq!(replay.failover, r.failover, "{mode}: replay");
+    }
 }

@@ -1212,8 +1212,8 @@ impl Rti {
         Rti(Coordinator::new(sim, net, sd, node, Position::Flat))
     }
 
-    /// Registers a federate hosted on network node `_node` (the
-    /// coordinator addresses federates by id only, so it keeps no node).
+    /// Registers a federate. The coordinator addresses federates by id
+    /// only, so it needs no network node.
     ///
     /// `external` declares whether the federate receives physical inputs
     /// from outside the federation (see the module docs); when in doubt,
@@ -1224,12 +1224,7 @@ impl Rti {
     /// [`FederationError::Full`] once [`MAX_FEDERATES`] federates are
     /// registered — at fleet scale an over-subscribed coordinator is a
     /// reportable deployment error, not a crash.
-    pub fn register(
-        &self,
-        name: &str,
-        _node: NodeId,
-        external: bool,
-    ) -> Result<FederateId, FederationError> {
+    pub fn register(&self, name: &str, external: bool) -> Result<FederateId, FederationError> {
         self.0.register(None, name, external)
     }
 
@@ -1336,8 +1331,7 @@ impl HierarchicalRti {
         self.0.add_child(sim, net, sd, node)
     }
 
-    /// Registers a federate hosted on network node `_node` with zone
-    /// `zone`. The returned id is global to the federation (grants are
+    /// Registers a federate with zone `zone`. The returned id is global to the federation (grants are
     /// addressed by it), while all of the federate's control traffic
     /// stays within its zone.
     ///
@@ -1350,7 +1344,6 @@ impl HierarchicalRti {
         &self,
         zone: ZoneId,
         name: &str,
-        _node: NodeId,
         external: bool,
     ) -> Result<FederateId, FederationError> {
         self.0.register(Some(zone), name, external)

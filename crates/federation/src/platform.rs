@@ -300,7 +300,7 @@ impl CoordinatedPlatform {
         binding: &Binding,
         external: bool,
     ) -> Result<Self, FederationError> {
-        let federate = rti.register(name, binding.node(), external)?;
+        let federate = rti.register(name, external)?;
         Ok(Self::build(
             name,
             runtime,
@@ -339,7 +339,7 @@ impl CoordinatedPlatform {
         binding: &Binding,
         external: bool,
     ) -> Result<Self, FederationError> {
-        let federate = hierarchy.register(zone, name, binding.node(), external)?;
+        let federate = hierarchy.register(zone, name, external)?;
         Ok(Self::build(
             name,
             runtime,

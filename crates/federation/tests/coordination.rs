@@ -458,7 +458,7 @@ fn grant_echoes_do_not_disarm_the_liveness_watchdog() {
     rti.enable_liveness(Duration::from_millis(50));
 
     let fed_binding = Binding::new(&net, &sd, NodeId(1), 0x11);
-    let fed = rti.register("fed", NodeId(1), true).unwrap();
+    let fed = rti.register("fed", true).unwrap();
     let send = |sim: &mut Simulation, binding: &Binding, msg: CoordMsg| {
         binding
             .call_no_return(
@@ -526,7 +526,7 @@ fn unconnected_topology_blocks_consumer() {
     );
     // A phantom upstream that never joins: its floor stays at origin, so
     // no grant can ever cover the consumer's first tag.
-    let ghost = rti.register("ghost", NodeId(9), true).unwrap();
+    let ghost = rti.register("ghost", true).unwrap();
     rti.connect(ghost, platform.federate_id(), Duration::from_millis(1));
 
     platform.start(&mut sim);

@@ -397,6 +397,18 @@ struct ChainReport {
     observe_snapshot: String,
 }
 
+impl ChainReport {
+    /// Control frames through the coordinator (NET and LTC reports in,
+    /// TAG, PTAG and DNET frames out) per granted tag, where a windowed
+    /// grant counts every tag it covers.
+    fn frames_per_granted_tag(&self) -> f64 {
+        let s = &self.rti;
+        let frames =
+            s.nets_received + s.ltcs_received + s.tags_issued + s.ptags_issued + s.dnets_sent;
+        frames as f64 / (s.tags_issued + s.window_tags) as f64
+    }
+}
+
 const CHAIN_ZONES: usize = 3;
 const CHAIN_MEMBERS: usize = 4;
 
@@ -543,11 +555,25 @@ fn diet_preserves_chain_tags_and_cuts_control_frames() {
         let hier_off = run_chain(seed, Coordinator::TwoZones, false);
         let hier_on = run_chain(seed, Coordinator::TwoZones, true);
 
-        // Equivalence: same processed tags, same per-federate extents.
+        // Equivalence: same processed tags, same per-federate extents,
+        // flat == 2-level == diet, and every run replays exactly.
         assert_eq!(flat_off.fingerprint, flat_on.fingerprint, "seed {seed}");
         assert_eq!(hier_off.fingerprint, hier_on.fingerprint, "seed {seed}");
+        assert_eq!(flat_off.fingerprint, hier_off.fingerprint, "seed {seed}");
         assert_eq!(flat_on.processed, hier_on.processed, "seed {seed}");
         assert!(flat_on.processed > 0, "seed {seed}: nothing processed");
+        for diet in [false, true] {
+            let again = run_chain(seed, Coordinator::TwoZones, diet);
+            let first = if diet { &hier_on } else { &hier_off };
+            assert_eq!(
+                again.fingerprint, first.fingerprint,
+                "seed {seed} diet={diet}"
+            );
+        }
+
+        // Only the hierarchy speaks the batched zone protocol.
+        assert_eq!(flat_off.rti.batches_sent, 0, "seed {seed}");
+        assert!(hier_off.rti.batches_sent > 0, "seed {seed}: no batches");
 
         // Engagement: windows covered runs of future tags in one frame,
         // DNETs were pushed, reports were suppressed.
@@ -573,6 +599,18 @@ fn diet_preserves_chain_tags_and_cuts_control_frames() {
         // vanish, so both directions shrink. (The processed-tag
         // fingerprints above prove the *coverage* did not shrink.)
         for (label, on, off) in [("flat", &flat_on, &flat_off), ("hier", &hier_on, &hier_off)] {
+            assert_eq!(
+                off.rti.window_tags, 0,
+                "seed {seed} {label}: diet-off windows"
+            );
+            assert_eq!(off.rti.dnets_sent, 0, "seed {seed} {label}: diet-off DNETs");
+            assert!(
+                on.frames_per_granted_tag() < off.frames_per_granted_tag(),
+                "seed {seed} {label}: frames per granted tag did not fall \
+                 (on: {:.2}, off: {:.2})",
+                on.frames_per_granted_tag(),
+                off.frames_per_granted_tag(),
+            );
             assert!(
                 on.rti.tags_issued < off.rti.tags_issued,
                 "seed {seed} {label}: windows did not reduce TAG frames \

@@ -1,12 +1,15 @@
-//! The paper's Figure 1 demo: a nondeterministic AP client/server
-//! application, and the single-thread workaround.
+//! The paper's Figure 1: the value distribution of a nondeterministic AP
+//! client/server application, the single-thread workaround, and the
+//! DEAR fix that keeps every call in flight and still always prints 3.
 //!
 //! ```sh
 //! cargo run --release --example fig1_calculator
 //! ```
 
 use dear::apd::calculator::{distribution, run_trial, CalculatorConfig};
+use dear::apd::det_calculator::run_det_trial;
 use dear::observe::ObservabilityReport;
+use dear::time::Duration;
 
 fn main() {
     println!("Figure 1 client:");
@@ -21,35 +24,57 @@ fn main() {
         println!("  run {seed}: printed {}", run_trial(seed, &cfg));
     }
 
-    let trials = 1_000;
+    let trials = 10_000;
     let hist = distribution(0, trials, &cfg);
+    let max = hist.iter().copied().max().unwrap_or(1);
     println!();
-    println!("distribution over {trials} seeded runs:");
-    for (value, count) in hist.iter().enumerate() {
+    println!("distribution over {trials} seeded runs (Figure 1's histogram):");
+    for (value, &count) in hist.iter().enumerate() {
+        let bar = "█".repeat(usize::try_from(count * 40 / max).expect("bar width"));
         println!(
-            "  value {value}: {:5.1} %",
-            *count as f64 * 100.0 / trials as f64
+            "  value {value}: p = {:6.4}  {bar}",
+            count as f64 / trials as f64
         );
     }
+    let distinct = hist.iter().filter(|&&c| c > 0).count();
+    println!(
+        "  all four values occur, none is certain: {}",
+        yes(distinct == 4)
+    );
 
+    let controls = 1_000;
     println!();
     println!("same client against a single-threaded server (the workaround):");
-    let st = CalculatorConfig::single_threaded();
-    for seed in 0..5 {
-        println!("  run {seed}: printed {}", run_trial(seed, &st));
+    let st = distribution(0, controls, &CalculatorConfig::single_threaded());
+    println!("  histogram over {controls} seeds: {st:?}");
+
+    println!();
+    println!("DEAR: reactor client and server, all three calls concurrently in flight:");
+    let mut dear_hist = [0u64; 4];
+    for seed in 0..controls {
+        let printed = run_det_trial(seed, Duration::from_millis(5)).printed;
+        dear_hist[usize::try_from(printed).expect("printed value in 0..=3")] += 1;
     }
+    println!("  histogram over {controls} seeds: {dear_hist:?}");
     println!();
     println!("the multi-threaded server prints 0, 1, 2 or 3 depending on thread");
-    println!("scheduling; the single-threaded one always prints 3 — but gives up");
-    println!("the concurrency AP was chosen for. DEAR restores determinism without");
-    println!("giving up concurrency (see the brake assistant examples).");
+    println!("scheduling; the single-threaded one always prints 3 but gives up the");
+    println!("concurrency AP was chosen for. The reactor build always prints 3 with");
+    println!("every call still in flight concurrently.");
     println!();
+    let distinct_of = |h: &[u64; 4]| h.iter().filter(|&&c| c > 0).count();
     let mut report = ObservabilityReport::new("fig1_calculator");
     report.line("trials", trials);
-    report.line(
-        "distinct_results[multi_threaded]",
-        hist.iter().filter(|c| **c > 0).count(),
-    );
-    report.line("distinct_results[single_threaded]", 1);
+    report.line("distinct_results[multi_threaded]", distinct);
+    report.line("distinct_results[single_threaded]", distinct_of(&st));
+    report.line("distinct_results[dear]", distinct_of(&dear_hist));
     print!("{report}");
+}
+
+fn yes(b: bool) -> &'static str {
+    if b {
+        "YES"
+    } else {
+        "NO"
+    }
 }

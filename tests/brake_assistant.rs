@@ -60,6 +60,31 @@ fn det_build_is_error_free_and_seed_independent() {
     );
 }
 
+/// The headline fingerprint at the `brake_assistant_det` example's
+/// parameters (2000 frames, seeds 0..8), pinned as an absolute value:
+/// the test above only compares seeds with each other.
+#[test]
+fn det_build_reproduces_the_pinned_headline_fingerprint() {
+    let params = DetParams {
+        frames: 2_000,
+        ..DetParams::default()
+    };
+    for seed in 0..8 {
+        let r = run_det(seed, &params);
+        assert_eq!(
+            format!("{:016x}", r.decision_fingerprint()),
+            "f3e522a0b4ee1cff",
+            "seed {seed}"
+        );
+        assert_eq!(r.decisions.len(), 2_000, "seed {seed}");
+        assert_eq!(
+            [r.mismatches_cv, r.stp_violations, r.deadline_misses],
+            [0; 3],
+            "seed {seed}"
+        );
+    }
+}
+
 #[test]
 fn det_decisions_match_reference_logic_frame_by_frame() {
     let report = run_det(11, &det_params());
