@@ -123,7 +123,7 @@ pub struct FailoverReport {
     /// Adapter tag of the first frame received from the backup.
     pub first_backup_frame_at: Option<Instant>,
     /// Primary death → first backup frame at the adapter (the failover
-    /// latency the `failover_latency` bench measures).
+    /// latency `tests/scenarios.rs` pins for every detection path).
     pub failover_latency: Option<Duration>,
     /// Re-bindings performed by the adapter's failover binding.
     pub failovers: u64,
@@ -186,8 +186,8 @@ pub struct RecoveryReport {
     /// True time at which replay completed and the `Rejoin` frame went
     /// out.
     pub rejoined_at: Instant,
-    /// Outage duration (`rejoined_at - crashed_at`) — the replay/rejoin
-    /// latency the `recovery_latency` bench measures.
+    /// Outage duration (`rejoined_at - crashed_at`): the replay/rejoin
+    /// latency, equal to `dead_for` (see `tests/recovery.rs`).
     pub outage: Duration,
     /// Logged tags re-processed from the durable log.
     pub replayed_tags: u64,
@@ -241,8 +241,8 @@ pub struct DetParams {
     pub control_diet: bool,
     /// Record per-stage runtime event traces and report their
     /// fingerprints in [`DetReport::stage_traces`]. Off by default: the
-    /// figure benches call `run_det` in measured loops and tracing costs
-    /// O(events) time and memory.
+    /// figure examples and the benchmark call `run_det` in long or timed
+    /// loops, and tracing costs O(events) time and memory.
     pub record_traces: bool,
     /// Run the pipeline with a redundant Video Provider and kill the
     /// primary mid-run. `None` (the default) is the plain single-provider

@@ -36,11 +36,10 @@ fn main() {
             count as f64 / trials as f64
         );
     }
-    let distinct = hist.iter().filter(|&&c| c > 0).count();
-    println!(
-        "  all four values occur, none is certain: {}",
-        yes(distinct == 4)
-    );
+    let distinct_of = |h: &[u64; 4]| h.iter().filter(|&&c| c > 0).count();
+    let distinct = distinct_of(&hist);
+    let verdict = if distinct == 4 { "YES" } else { "NO" };
+    println!("  all four values occur, none is certain: {verdict}");
 
     let controls = 1_000;
     println!();
@@ -51,30 +50,23 @@ fn main() {
     println!();
     println!("DEAR: reactor client and server, all three calls concurrently in flight:");
     let mut dear_hist = [0u64; 4];
+    let mut stp_violations = 0;
     for seed in 0..controls {
-        let printed = run_det_trial(seed, Duration::from_millis(5)).printed;
-        dear_hist[usize::try_from(printed).expect("printed value in 0..=3")] += 1;
+        let outcome = run_det_trial(seed, Duration::from_millis(5));
+        dear_hist[usize::try_from(outcome.printed).expect("printed value in 0..=3")] += 1;
+        stp_violations += outcome.stp_violations;
     }
-    println!("  histogram over {controls} seeds: {dear_hist:?}");
+    println!("  histogram over {controls} seeds: {dear_hist:?}, {stp_violations} STP violations");
     println!();
     println!("the multi-threaded server prints 0, 1, 2 or 3 depending on thread");
     println!("scheduling; the single-threaded one always prints 3 but gives up the");
     println!("concurrency AP was chosen for. The reactor build always prints 3 with");
     println!("every call still in flight concurrently.");
     println!();
-    let distinct_of = |h: &[u64; 4]| h.iter().filter(|&&c| c > 0).count();
     let mut report = ObservabilityReport::new("fig1_calculator");
     report.line("trials", trials);
     report.line("distinct_results[multi_threaded]", distinct);
     report.line("distinct_results[single_threaded]", distinct_of(&st));
     report.line("distinct_results[dear]", distinct_of(&dear_hist));
     print!("{report}");
-}
-
-fn yes(b: bool) -> &'static str {
-    if b {
-        "YES"
-    } else {
-        "NO"
-    }
 }

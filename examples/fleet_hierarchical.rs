@@ -356,7 +356,7 @@ fn main() {
     println!();
     println!("the hierarchy is observably identical to the flat RTI, batches its");
     println!("coordination traffic, and contains an uplink partition to the zone");
-    println!("that lost it — exactly the sharding story the fleet_scale bench");
+    println!("that lost it — exactly the sharding story the fleet_scale example");
     println!("quantifies at 100/400/1000 federates.");
     println!();
     print!("{}", hier.report);
