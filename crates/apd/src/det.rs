@@ -366,6 +366,10 @@ impl DetReport {
 
 struct Stage<D> {
     platform: D,
+    /// Held, never read: the network reaches bindings only weakly, and
+    /// the EBA stage has no outputs, so no platform route owns its
+    /// binding.
+    _binding: Binding,
     stats: Vec<TransactorStats>,
 }
 
@@ -1028,10 +1032,14 @@ fn run_det_with<F: DriverFactory>(
             let slot = recovered.clone();
             let sinks = sinks.clone();
             let record_traces = params.record_traces;
+            // The network keeps its observers for good: the observer
+            // reaches the platform (which reaches the network) weakly.
+            let platform = platform.downgrade();
             net.on_node_event(move |sim, node, up| {
-                if node != stage.node {
-                    return;
-                }
+                let platform = match CoordinatedPlatform::upgrade(&platform) {
+                    Some(platform) if node == stage.node => platform,
+                    _ => return,
+                };
                 if up {
                     // The replacement incarnation: reset the outbox so the
                     // rebuilt transactors re-claim the same route ids,
@@ -1047,7 +1055,11 @@ fn run_det_with<F: DriverFactory>(
                 }
             });
         }
-        stages.push(Stage { platform, stats });
+        stages.push(Stage {
+            platform,
+            _binding: binding,
+            stats,
+        });
     }
 
     // --- Video Provider (plain, untagged AP component). A redundancy
@@ -1055,7 +1067,9 @@ fn run_det_with<F: DriverFactory>(
     let primary = ServiceInstance::new(VIDEO, INSTANCE);
     let provider_binding = Binding::new(&net, &sd, nodes::PROVIDER, 0x10);
     let death_at: Rc<Cell<Option<Instant>>> = Rc::default();
-    let death = if let Some(red) = params.redundancy {
+    // The standby and its binding are held here until the run ends:
+    // discovery and the binding reach the standby only weakly.
+    let (death, _standby) = if let Some(red) = params.redundancy {
         let backup = ServiceInstance::new(VIDEO, BACKUP_INSTANCE);
         // The standby sits next to the primary on platform 1: both reach
         // the adapter over the Ethernet link, and the replication feed
@@ -1106,34 +1120,39 @@ fn run_det_with<F: DriverFactory>(
             timeout: red.heartbeat_timeout,
         });
         sd.subscribe(primary, EVENTGROUP, nodes::PROVIDER_BACKUP);
-        let on_frame = standby.clone();
+        let on_frame = Rc::downgrade(&standby);
         backup_binding.on_event(VIDEO, EVENT_MAIN, move |sim, msg| {
             if let Ok(frame) = Frame::from_payload(&msg.payload) {
-                on_frame.on_replicated(sim, frame.id);
+                if let Some(standby) = on_frame.upgrade() {
+                    standby.on_replicated(sim, frame.id);
+                }
             }
         });
-        let on_offer = standby.clone();
+        let on_offer = Rc::downgrade(&standby);
         sd.watch(
             &mut sim,
             VIDEO,
             dear_someip::ANY_INSTANCE,
             move |sim, best| {
                 if best.map(|o| o.instance) == Some(backup) {
-                    on_offer.activate(sim);
+                    if let Some(standby) = on_offer.upgrade() {
+                        standby.activate(sim);
+                    }
                 }
             },
         );
         standby.arm_watchdog(&mut sim);
-        Some(Death {
+        let death = Death {
             after: red.primary_dies_after,
             graceful: red.graceful,
             sd: sd.clone(),
             alive,
             at: death_at.clone(),
-        })
+        };
+        (Some(death), Some((standby, backup_binding)))
     } else {
         provider_binding.offer(&mut sim, primary, offer_ttl);
-        None
+        (None, None)
     };
     let mut provider = FrameLoop::new(&sim, &provider_binding, primary, "provider", params);
     provider.death = death;

@@ -810,13 +810,18 @@ impl Coordinator {
             zone_of: Vec::new(),
             touched: Vec::new(),
         })));
-        let hook = coordinator.clone();
+        // The node owns the binding; its handlers reach the node weakly.
+        let hook = Rc::downgrade(&coordinator.0);
         binding.register_method(COORD_SERVICE, COORD_METHOD, move |sim, req, _responder| {
-            hook.ingest(sim, &req.payload, false);
+            if let Some(node) = hook.upgrade() {
+                Coordinator(node).ingest(sim, &req.payload, false);
+            }
         });
-        let hook = coordinator.clone();
+        let hook = Rc::downgrade(&coordinator.0);
         binding.on_event(COORD_SERVICE, COORD_EVENT, move |sim, msg| {
-            hook.ingest(sim, &msg.payload, true);
+            if let Some(node) = hook.upgrade() {
+                Coordinator(node).ingest(sim, &msg.payload, true);
+            }
         });
         coordinator
     }

@@ -41,7 +41,7 @@ use std::any::Any;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 type EncodeFn = Rc<dyn Fn(&dyn Any) -> Option<Vec<u8>>>;
 type ReplayFn = Rc<dyn Fn(&mut Runtime, Tag, &[u8]) -> bool>;
@@ -409,9 +409,13 @@ impl CoordinatedPlatform {
             ServiceInstance::new(COORD_SERVICE, coord_instance),
             grant_eventgroup,
         );
-        let hook = platform.clone();
+        // The platform owns the binding; the binding's handler reaches
+        // the platform weakly.
+        let hook = platform.downgrade();
         binding.on_event(COORD_SERVICE, COORD_EVENT, move |sim, msg| {
-            hook.on_grant_frame(sim, &msg.payload);
+            if let Some(platform) = CoordinatedPlatform::upgrade(&hook) {
+                platform.on_grant_frame(sim, &msg.payload);
+            }
         });
         platform
     }
@@ -1071,7 +1075,22 @@ impl CoordinatedPlatform {
     }
 }
 
+/// A [`CoordinatedPlatform`] handle that does not keep the platform
+/// alive ([`PlatformDriver::downgrade`]).
+#[derive(Clone)]
+pub struct WeakPlatform(Weak<RefCell<PlatformInner>>);
+
 impl PlatformDriver for CoordinatedPlatform {
+    type Weak = WeakPlatform;
+
+    fn downgrade(&self) -> Self::Weak {
+        WeakPlatform(Rc::downgrade(&self.0))
+    }
+
+    fn upgrade(weak: &Self::Weak) -> Option<Self> {
+        weak.0.upgrade().map(CoordinatedPlatform)
+    }
+
     fn with_core<R>(&self, f: impl FnOnce(&mut PlatformCore) -> R) -> R {
         f(&mut self.0.borrow_mut().core)
     }

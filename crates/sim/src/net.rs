@@ -282,6 +282,13 @@ impl NetworkHandle {
     }
 
     /// Registers the frame receiver for a node, replacing any previous one.
+    ///
+    /// The network keeps `receiver`, and everything it captures, alive
+    /// until the receiver is replaced or cleared or the network is freed.
+    /// A receiver must not capture a strong handle to anything that holds
+    /// this network (a SOME/IP binding, a platform): that is a cycle no
+    /// owner can free. Capture a weak handle instead, and have the caller
+    /// hold the strong one for as long as the node should receive.
     pub fn set_receiver(&self, node: NodeId, receiver: impl Fn(&mut Simulation, Frame) + 'static) {
         let receivers = &mut self.0.borrow_mut().receivers;
         let slot = usize::from(node.0);
@@ -463,6 +470,13 @@ impl NetworkHandle {
     /// run, in registration order, on every actual transition). This is
     /// how a recovery harness hooks a `FaultPlan`'s node crashes to
     /// platform-level crash/recover drivers without a layering inversion.
+    ///
+    /// Observers cannot be removed: the network keeps `observer`, and
+    /// everything it captures, alive for as long as the network lives.
+    /// An observer must reach the platforms it drives through weak
+    /// handles, and the caller must hold those platforms; a strong
+    /// capture of anything that holds this network is a cycle no owner
+    /// can free.
     pub fn on_node_event(&self, observer: impl Fn(&mut Simulation, NodeId, bool) + 'static) {
         self.0.borrow_mut().node_observers.push(Rc::new(observer));
     }

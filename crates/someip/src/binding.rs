@@ -6,6 +6,15 @@
 //! event handler registry, and is registered as the node's network frame
 //! receiver.
 //!
+//! **Ownership.** A binding owns its network handle and discovery
+//! registry; neither owns the binding back. The network's receiver slot
+//! reaches it through a [`WeakBinding`], so whoever builds a world keeps
+//! each binding alive by holding a [`Binding`] handle for as long as the
+//! node should receive, and dropping the last handle frees the binding
+//! and everything its handler maps hold. A handler that needs its own
+//! binding captures a [`WeakBinding`] ([`Binding::downgrade`]) rather
+//! than a clone, or the binding would own itself.
+//!
 //! **Timestamp bypass** (paper §III.B, Figure 3): the DEAR transactors
 //! communicate tags to the binding out-of-band. Before invoking a regular,
 //! tag-agnostic proxy/skeleton call, a transactor deposits the tag via
@@ -23,7 +32,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::error::Error;
 use std::fmt;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 /// Errors surfaced by binding operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,11 +161,39 @@ impl fmt::Debug for Binding {
     }
 }
 
+/// A non-owning handle to a [`Binding`], for the registrations that
+/// must reach a binding without keeping it alive: the network's receiver
+/// slot, and handlers stored in the binding's own maps.
+#[derive(Clone)]
+pub struct WeakBinding(Weak<RefCell<BindingInner>>);
+
+impl fmt::Debug for WeakBinding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("WeakBinding")
+    }
+}
+
+impl WeakBinding {
+    /// The binding, unless every [`Binding`] handle to it was dropped.
+    #[must_use]
+    pub fn upgrade(&self) -> Option<Binding> {
+        self.0.upgrade().map(Binding)
+    }
+}
+
 impl Binding {
     /// Creates a binding for `node` and registers it as the node's frame
     /// receiver.
     ///
     /// `client_id` is the SOME/IP client id used in outgoing request ids.
+    ///
+    /// The binding keeps `net` and `sd` alive; the network's receiver
+    /// slot keeps only a [`WeakBinding`]. The caller must therefore hold
+    /// the returned handle, or something that holds a clone (a platform
+    /// whose transactor routes send through it), for as long as the node
+    /// should receive: once the last handle is dropped the binding is
+    /// freed, and frames still addressed to the node are discarded on
+    /// arrival.
     #[must_use]
     pub fn new(net: &NetworkHandle, sd: &SdRegistry, node: NodeId, client_id: u16) -> Self {
         let binding = Binding(Rc::new(RefCell::new(BindingInner {
@@ -173,9 +210,19 @@ impl Binding {
             incoming_tags: VecDeque::new(),
             stats: BindingStats::default(),
         })));
-        let recv = binding.clone();
-        net.set_receiver(node, move |sim, frame| recv.on_frame(sim, frame));
+        let recv = binding.downgrade();
+        net.set_receiver(node, move |sim, frame| {
+            if let Some(binding) = recv.upgrade() {
+                binding.on_frame(sim, frame);
+            }
+        });
         binding
+    }
+
+    /// A handle that reaches this binding without keeping it alive.
+    #[must_use]
+    pub fn downgrade(&self) -> WeakBinding {
+        WeakBinding(Rc::downgrade(&self.0))
     }
 
     /// The node this binding serves.
@@ -245,6 +292,14 @@ impl Binding {
     /// The handler receives the request message and a [`Responder`] that
     /// may reply immediately or be stored and used later (the AP skeleton
     /// promise/future pattern).
+    ///
+    /// The binding keeps `handler`, and everything it captures, alive
+    /// until it is replaced or the binding is freed. A handler must not
+    /// capture a strong handle to this binding, nor to anything that holds
+    /// one (the platform it serves, the coordinator that owns it): that
+    /// would be a cycle no owner can free. Capture a
+    /// [`WeakBinding`] or another weak handle instead; the [`Responder`]
+    /// already reaches the binding weakly.
     pub fn register_method(
         &self,
         service: u16,
@@ -258,6 +313,12 @@ impl Binding {
     }
 
     /// Registers the handler for a subscribed event.
+    ///
+    /// The binding keeps `handler`, and everything it captures, alive
+    /// until it is replaced or the binding is freed. As with
+    /// [`Binding::register_method`], the handler must reach this binding,
+    /// and anything holding it, only through weak handles such as
+    /// [`WeakBinding`].
     pub fn on_event(
         &self,
         service: u16,
@@ -431,7 +492,7 @@ impl Binding {
                     .get(&(msg.message_id.service, msg.message_id.method))
                     .cloned();
                 let responder = Responder {
-                    binding: self.clone(),
+                    binding: self.downgrade(),
                     reply_to: frame.src,
                     request: msg.clone(),
                     wants_response,
@@ -494,8 +555,11 @@ impl BindingInner {
 /// Implements the AP skeleton pattern where the method implementation
 /// returns a future: the responder can be captured and resolved later
 /// (e.g. after simulated compute time).
+///
+/// A responder reaches its binding weakly, so a stored one keeps nothing
+/// alive: replying after the binding was freed sends nothing.
 pub struct Responder {
-    binding: Binding,
+    binding: WeakBinding,
     reply_to: NodeId,
     request: SomeIpMessage,
     wants_response: bool,
@@ -517,11 +581,11 @@ impl Responder {
     /// An outgoing bypass tag, if deposited, is attached (Fig. 3 step 16).
     /// No-op for fire-and-forget requests.
     pub fn reply(self, sim: &mut Simulation, payload: impl Into<FrameBuf>) {
-        if !self.wants_response {
+        let Some(binding) = self.binding.upgrade().filter(|_| self.wants_response) else {
             return;
-        }
+        };
         let frame = {
-            let mut inner = self.binding.0.borrow_mut();
+            let mut inner = binding.0.borrow_mut();
             let mut msg = SomeIpMessage::response_to(&self.request, payload);
             if let Some(tag) = inner.outgoing_tags.pop_front() {
                 msg = msg.with_tag(tag);
@@ -532,17 +596,17 @@ impl Responder {
                 payload: msg.into_frame(&inner.pool),
             }
         };
-        let net = self.binding.0.borrow().net.clone();
+        let net = binding.0.borrow().net.clone();
         net.send(sim, frame);
     }
 
     /// Sends an error response with the given return code.
     pub fn reply_error(self, sim: &mut Simulation, code: ReturnCode) {
-        if !self.wants_response {
+        let Some(binding) = self.binding.upgrade().filter(|_| self.wants_response) else {
             return;
-        }
+        };
         let frame = {
-            let inner = self.binding.0.borrow();
+            let inner = binding.0.borrow();
             let msg = SomeIpMessage::error_to(&self.request, code);
             Frame {
                 src: inner.node,
@@ -550,7 +614,7 @@ impl Responder {
                 payload: msg.into_frame(&inner.pool),
             }
         };
-        let net = self.binding.0.borrow().net.clone();
+        let net = binding.0.borrow().net.clone();
         net.send(sim, frame);
     }
 
@@ -702,10 +766,13 @@ mod tests {
         let (mut sim, net, sd) = setup(5);
         let server = Binding::new(&net, &sd, NodeId(1), 0x10);
         let inst = ServiceInstance::new(0x50, 1);
-        let server2 = server.clone();
+        // The handler lives in the server's own method map, so it reaches
+        // the server weakly.
+        let server2 = server.downgrade();
         server.register_method(0x50, 1, move |sim, _req, responder| {
             // Server-side transactor behaviour: read the incoming tag,
             // deposit a response tag, reply.
+            let server2 = server2.upgrade().expect("the test holds the server");
             let got = server2.take_incoming_tag();
             assert_eq!(got, Some(WireTag::new(1_000_000, 2)));
             server2.set_outgoing_tag(WireTag::new(2_000_000, 0));
@@ -716,12 +783,13 @@ mod tests {
         let client = Binding::new(&net, &sd, NodeId(2), 0x20);
         let got_tag = Rc::new(RefCell::new(None));
         let sink = got_tag.clone();
-        let client2 = client.clone();
+        let client2 = client.downgrade();
         // Client-side transactor: deposit tag, then make the plain call.
         client.set_outgoing_tag(WireTag::new(1_000_000, 2));
         client
             .call(&mut sim, 0x50, 1, 1, vec![], move |_s, resp| {
                 assert_eq!(resp.tag, Some(WireTag::new(2_000_000, 0)));
+                let client2 = client2.upgrade().expect("the test holds the client");
                 *sink.borrow_mut() = client2.take_incoming_tag();
             })
             .unwrap();

@@ -38,7 +38,7 @@ mod payload;
 mod sd;
 mod wire;
 
-pub use binding::{Binding, BindingError, BindingStats, Responder};
+pub use binding::{Binding, BindingError, BindingStats, Responder, WeakBinding};
 // The frame types are defined in `dear-sim` (the network layer queues
 // them), but they are the middleware's payload currency, so they are
 // re-exported here for the layers above.

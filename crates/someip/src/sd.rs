@@ -276,6 +276,13 @@ impl SdRegistry {
     ///
     /// Registering a watcher switches the service to active TTL expiry
     /// (see the module docs); watchers fire in registration order.
+    ///
+    /// The registry keeps `callback`, and everything it captures, alive
+    /// for as long as the registry itself lives; there is no unwatch. A
+    /// callback must therefore reach its watcher (a failover binding, a
+    /// standby provider) through a weak handle, and the caller must hold
+    /// the watcher: anything that holds this registry and is captured
+    /// strongly would form a cycle no owner can free.
     pub fn watch(
         &self,
         sim: &mut Simulation,
@@ -367,7 +374,9 @@ impl SdRegistry {
     }
 
     /// Finds asynchronously: `callback` fires now if a matching offer
-    /// exists, or as soon as one appears.
+    /// exists, or as soon as one appears. Until it fires, the registry
+    /// keeps `callback` and everything it captures alive, so the same
+    /// rule as for [`SdRegistry::watch`] applies.
     pub fn find_async(
         &self,
         sim: &mut Simulation,

@@ -1,7 +1,7 @@
 //! Shared configuration and tag conversion for the DEAR layer.
 
 use dear_core::Tag;
-use dear_someip::WireTag;
+use dear_someip::{WeakBinding, WireTag};
 use dear_time::{Duration, Instant};
 
 /// What a transactor does with a message that carries no tag.
@@ -71,6 +71,19 @@ impl DearConfig {
 #[must_use]
 pub fn tag_to_wire(tag: Tag) -> WireTag {
     WireTag::new(tag.time.as_nanos(), tag.microstep)
+}
+
+/// The tag a message `binding` just received was sent at: the incoming
+/// timestamp bypass (Fig. 3 steps 10 and 21), else the message's own.
+/// Handlers stored in the binding reach it weakly (see
+/// [`Binding::on_event`]).
+///
+/// [`Binding::on_event`]: dear_someip::Binding::on_event
+pub(crate) fn received_tag(binding: &WeakBinding, msg_tag: Option<WireTag>) -> Option<WireTag> {
+    binding
+        .upgrade()
+        .and_then(|binding| binding.take_incoming_tag())
+        .or(msg_tag)
 }
 
 /// Converts a wire tag back to a reactor tag.

@@ -54,7 +54,21 @@ impl fmt::Display for Coordination {
 /// platform's clock and outbox, and the shared scheduling rule — and
 /// decide *when* the runtime may process tags (that is the coordination
 /// strategy). Handles are cheap to clone and shared.
+///
+/// A platform's routes own the bindings they send through, so a handler
+/// a transactor registers on a binding reaches the platform through
+/// [`PlatformDriver::downgrade`]; a strong capture would make the two
+/// own each other.
 pub trait PlatformDriver: Clone + 'static {
+    /// A handle that reaches the platform without keeping it alive.
+    type Weak: Clone + 'static;
+
+    /// The non-owning form of this handle.
+    fn downgrade(&self) -> Self::Weak;
+
+    /// The platform behind `weak`, unless every handle to it was dropped.
+    fn upgrade(weak: &Self::Weak) -> Option<Self>;
+
     /// Runs a closure with mutable access to the platform's scheduling
     /// core.
     fn with_core<R>(&self, f: impl FnOnce(&mut PlatformCore) -> R) -> R;

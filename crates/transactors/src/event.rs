@@ -6,7 +6,7 @@
 //! receive. The brake-assistant pipeline (Fig. 4) is a chain of exactly
 //! these transactors.
 
-use crate::config::{tag_to_wire, DearConfig, EventSpec, FailoverEventSpec};
+use crate::config::{received_tag, tag_to_wire, DearConfig, EventSpec, FailoverEventSpec};
 use crate::driver::PlatformDriver;
 use crate::failover::FailoverBinding;
 use crate::outbox::{OutboundMsg, Outbox, OutboxSender};
@@ -133,9 +133,14 @@ impl ClientEventTransactor {
 
     /// Binds the transactor: subscribes on the middleware and routes
     /// received notifications into the reactor network.
-    pub fn bind(
+    ///
+    /// The binding's handler reaches the platform and the binding only
+    /// weakly, and a pure subscriber has no route that would own the
+    /// binding: the caller holds `binding` for as long as the platform
+    /// should receive.
+    pub fn bind<P: PlatformDriver>(
         &self,
-        platform: &impl PlatformDriver,
+        platform: &P,
         binding: &Binding,
         spec: EventSpec,
         cfg: DearConfig,
@@ -146,12 +151,14 @@ impl ClientEventTransactor {
             spec.eventgroup,
         );
         let action = self.evt_action;
-        let platform = platform.clone();
-        let binding_cb = binding.clone();
+        let platform = platform.downgrade();
+        let binding_cb = binding.downgrade();
         let stats_cb = stats.clone();
         binding.on_event(spec.service, spec.event, move |sim, msg| {
-            let wire_tag = binding_cb.take_incoming_tag().or(msg.tag);
-            platform.deliver(sim, &action, msg.payload, wire_tag, &cfg, &stats_cb);
+            let wire_tag = received_tag(&binding_cb, msg.tag);
+            if let Some(platform) = P::upgrade(&platform) {
+                platform.deliver(sim, &action, msg.payload, wire_tag, &cfg, &stats_cb);
+            }
         });
         stats
     }
@@ -169,10 +176,10 @@ impl ClientEventTransactor {
     /// Returns the fault counters (shared with the failover binding, so
     /// `failovers`/`stp_violations` land in one place) and the
     /// [`FailoverBinding`] handle.
-    pub fn bind_failover(
+    pub fn bind_failover<P: PlatformDriver>(
         &self,
         sim: &mut Simulation,
-        platform: &impl PlatformDriver,
+        platform: &P,
         binding: &Binding,
         spec: FailoverEventSpec,
         cfg: DearConfig,
@@ -181,14 +188,18 @@ impl ClientEventTransactor {
         let failover =
             FailoverBinding::attach(sim, binding, spec.service, spec.eventgroup, stats.clone());
         let action = self.evt_action;
-        let platform = platform.clone();
-        let binding_cb = binding.clone();
+        let platform = platform.downgrade();
+        let binding_cb = binding.downgrade();
         let stats_cb = stats.clone();
+        // The binding's handler owns the failover binding, which holds
+        // only the discovery registry.
         let failover_cb = failover.clone();
         binding.on_event(spec.service, spec.event, move |sim, msg| {
-            let wire_tag = binding_cb.take_incoming_tag().or(msg.tag);
+            let wire_tag = received_tag(&binding_cb, msg.tag);
             failover_cb.note_event(sim);
-            platform.deliver(sim, &action, msg.payload, wire_tag, &cfg, &stats_cb);
+            if let Some(platform) = P::upgrade(&platform) {
+                platform.deliver(sim, &action, msg.payload, wire_tag, &cfg, &stats_cb);
+            }
         });
         (stats, failover)
     }

@@ -99,7 +99,8 @@ impl FailoverBinding {
     ///
     /// Subscribes to the current best offer immediately (if one exists)
     /// and re-binds automatically from then on. Re-bindings count into
-    /// `stats.failovers()`.
+    /// `stats.failovers()`. Discovery watches the returned handle weakly:
+    /// re-binding stops once the caller drops every clone of it.
     #[must_use]
     pub fn attach(
         sim: &mut Simulation,
@@ -122,11 +123,15 @@ impl FailoverBinding {
             last_failover_at: None,
             last_live_at: None,
         })));
-        let hook = this.clone();
+        // The registry keeps its watchers for good and this binding holds
+        // the registry: the watcher reaches the binding weakly.
+        let hook = Rc::downgrade(&this.0);
         binding
             .sd()
             .watch(sim, service, ANY_INSTANCE, move |sim, best| {
-                hook.on_best_changed(sim, best);
+                if let Some(inner) = hook.upgrade() {
+                    FailoverBinding(inner).on_best_changed(sim, best);
+                }
             });
         this
     }

@@ -15,7 +15,7 @@
 //!   skeleton with wire tag `ts + Ds` (steps 12–17);
 //! * client response interrupt: release at `ts + Ds + L + E` (18–22).
 
-use crate::config::{tag_to_wire, DearConfig, MethodSpec, UntaggedPolicy};
+use crate::config::{received_tag, tag_to_wire, DearConfig, MethodSpec, UntaggedPolicy};
 use crate::driver::PlatformDriver;
 use crate::outbox::{OutboundMsg, Outbox, OutboxSender};
 use crate::stats::TransactorStats;
@@ -105,45 +105,49 @@ impl ClientMethodTransactor {
     }
 
     /// Binds the transactor to a platform and its middleware binding.
-    pub fn bind(
+    ///
+    /// The platform's route owns `binding`; the route and each pending
+    /// call's response callback reach the platform (and the callback the
+    /// binding) weakly.
+    pub fn bind<P: PlatformDriver>(
         &self,
-        platform: &impl PlatformDriver,
+        platform: &P,
         binding: &Binding,
         spec: MethodSpec,
         cfg: DearConfig,
     ) -> TransactorStats {
         let stats = TransactorStats::new();
         let action = self.resp_action;
-        let platform = platform.clone();
+        let weak_platform = platform.downgrade();
         let binding = binding.clone();
         let stats_out = stats.clone();
-        platform
-            .clone()
-            .register_route(self.route, move |sim, msg| {
-                // Fig. 3 step 2: deposit tc+Dc in the bypass, then step 3: the
-                // plain (tag-agnostic) proxy call.
-                binding.set_outgoing_tag(msg.tag);
-                let platform = platform.clone();
-                let binding_cb = binding.clone();
-                let stats = stats_out.clone();
-                let result = binding.call(
-                    sim,
-                    spec.service,
-                    spec.instance,
-                    spec.method,
-                    msg.payload,
-                    move |sim, resp| {
-                        // Steps 18–22: pick ts+Ds from the bypass and release
-                        // the response at ts+Ds+L+E.
-                        let wire_tag = binding_cb.take_incoming_tag().or(resp.tag);
+        platform.register_route(self.route, move |sim, msg| {
+            // Fig. 3 step 2: deposit tc+Dc in the bypass, then step 3: the
+            // plain (tag-agnostic) proxy call.
+            binding.set_outgoing_tag(msg.tag);
+            let platform = weak_platform.clone();
+            let binding_cb = binding.downgrade();
+            let stats = stats_out.clone();
+            let result = binding.call(
+                sim,
+                spec.service,
+                spec.instance,
+                spec.method,
+                msg.payload,
+                move |sim, resp| {
+                    // Steps 18–22: pick ts+Ds from the bypass and release
+                    // the response at ts+Ds+L+E.
+                    let wire_tag = received_tag(&binding_cb, resp.tag);
+                    if let Some(platform) = P::upgrade(&platform) {
                         platform.deliver(sim, &action, resp.payload, wire_tag, &cfg, &stats);
-                    },
-                );
-                if result.is_err() {
-                    binding.discard_outgoing_tag();
-                    stats_out.record_send_failure();
-                }
-            });
+                    }
+                },
+            );
+            if result.is_err() {
+                binding.discard_outgoing_tag();
+                stats_out.record_send_failure();
+            }
+        });
         stats
     }
 }
@@ -210,9 +214,9 @@ impl ServerMethodTransactor {
     ///
     /// Responses are correlated to requests in FIFO order, which matches
     /// the tag order the reactor network processes requests in.
-    pub fn bind(
+    pub fn bind<P: PlatformDriver>(
         &self,
-        platform: &impl PlatformDriver,
+        platform: &P,
         binding: &Binding,
         spec: MethodSpec,
         cfg: DearConfig,
@@ -221,14 +225,17 @@ impl ServerMethodTransactor {
         let pending: Rc<RefCell<VecDeque<Responder>>> = Rc::new(RefCell::new(VecDeque::new()));
 
         let action = self.req_action;
-        let platform_in = platform.clone();
-        let binding_in = binding.clone();
+        let weak_platform = platform.downgrade();
+        let binding_in = binding.downgrade();
         let stats_in = stats.clone();
         let pending_in = pending.clone();
         binding.register_method(spec.service, spec.method, move |sim, req, responder| {
             // Steps 7–10: the binding already fed the bypass; retrieve the
             // tag and schedule the release at tc+Dc+L+E.
-            let wire_tag = binding_in.take_incoming_tag().or(req.tag);
+            let wire_tag = received_tag(&binding_in, req.tag);
+            let Some(platform_in) = P::upgrade(&weak_platform) else {
+                return;
+            };
             match wire_tag {
                 Some(w) => {
                     let injected = cfg.release_tag(w).is_some_and(|release| {

@@ -24,7 +24,7 @@ use dear_time::{Duration, Instant};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 type RouteHandler = Rc<dyn Fn(&mut Simulation, OutboundMsg)>;
 
@@ -343,6 +343,16 @@ impl FederatedPlatform {
 }
 
 impl PlatformDriver for FederatedPlatform {
+    type Weak = Weak<RefCell<PlatformCore>>;
+
+    fn downgrade(&self) -> Self::Weak {
+        Rc::downgrade(&self.0)
+    }
+
+    fn upgrade(weak: &Self::Weak) -> Option<Self> {
+        weak.upgrade().map(FederatedPlatform)
+    }
+
     fn with_core<R>(&self, f: impl FnOnce(&mut PlatformCore) -> R) -> R {
         f(&mut self.0.borrow_mut())
     }

@@ -42,13 +42,14 @@ fn network(sim: &mut Simulation) -> (NetworkHandle, SdRegistry) {
 }
 
 /// A platform whose only logic collects the payloads of event `SPEC` with
-/// their tags.
+/// their tags, and the binding it receives through: no route of a pure
+/// subscriber owns that binding, so the caller holds it.
 fn subscriber(
     sim: &mut Simulation,
     net: &NetworkHandle,
     sd: &SdRegistry,
     cfg: DearConfig,
-) -> (FederatedPlatform, Seen, TransactorStats) {
+) -> (FederatedPlatform, Binding, Seen, TransactorStats) {
     let mut b = ProgramBuilder::new();
     let input = ClientEventTransactor::declare(&mut b, "ping");
     let seen: Seen = Arc::new(Mutex::new(Vec::new()));
@@ -73,7 +74,7 @@ fn subscriber(
     );
     let binding = Binding::new(net, sd, NodeId(2), 0x22);
     let stats = input.bind(&platform, &binding, SPEC, cfg);
-    (platform, seen, stats)
+    (platform, binding, seen, stats)
 }
 
 /// The decentralized twin of the coordinated stop test: a producer that
@@ -120,7 +121,7 @@ fn stopped_producer_leaves_nothing_pending() {
         Duration::from_secs(1 << 20),
     );
     publish.bind(&producer, &binding, SPEC);
-    let (consumer, seen, stats) = subscriber(&mut sim, &net, &sd, cfg);
+    let (consumer, _binding, seen, stats) = subscriber(&mut sim, &net, &sd, cfg);
 
     producer.start(&mut sim);
     consumer.start(&mut sim);
@@ -152,7 +153,7 @@ fn event_with_unreleasable_tag_is_an_stp_violation() {
     let cfg = DearConfig::new(Duration::from_millis(5), Duration::from_millis(1));
     let mut sim = Simulation::new(1);
     let (net, sd) = network(&mut sim);
-    let (consumer, seen, stats) = subscriber(&mut sim, &net, &sd, cfg);
+    let (consumer, _binding, seen, stats) = subscriber(&mut sim, &net, &sd, cfg);
     consumer.start(&mut sim);
 
     let publisher = Binding::new(&net, &sd, NodeId(1), 0x11);
